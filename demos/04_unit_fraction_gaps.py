@@ -1,7 +1,7 @@
 """Gap certificates in unit-fraction value sets.
 
 S_n = { 1/x_1 + ... + 1/x_n } has a largest element strictly below any
-probe, which the gap recursion computes exactly together with a
+probe, which the gap search computes exactly together with a
 witness. Scaling by 1/n^2 and adding the mandatory leading term gives
 the candidate set containing every commuting probability achieved over
 an abelian normal subgroup of index n; its gaps lower-bound the true

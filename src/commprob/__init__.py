@@ -19,6 +19,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
     PreconditionFailed,
+    SearchBudgetExceeded,
     UnsupportedParams,
     ValidationError,
 )

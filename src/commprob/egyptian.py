@@ -11,36 +11,33 @@ drive everything here:
 * below any probe l > 0 the set S_n has a maximum element, so every
   rational probe has a genuine gap (max_below(l), l) free of S_n values.
 
-The second fact is computed, not just asserted, by the gap recursion
-
-    f(1, l) = 1/(floor(1/l) + 1)
-    f(n, l) = max over 1/x < l of 1/x + f(n-1, l - 1/x)
-
-whose infinitely many branches collapse as follows: once
-1/x < l - f(n-1, l), the inner probe l - 1/x exceeds f(n-1, l), which is
-therefore still the inner maximum (no S_(n-1) element lies between it
-and l, hence none between it and l - 1/x); all such "stabilized"
-branches evaluate to 1/x + f(n-1, l), which is largest at the smallest
-admissible x. Only the finitely many x with 1/x >= l - f(n-1, l) need
-exact recursion. Induction on n grounds the argument: at n = 1 the gap
-below l is explicit. This threshold reconstruction is our own; the
-resulting certificates are independently re-checked by interval scans in
-the test suite.
-
-The recursion is memoized on exact rationals with a bounded LRU cache,
-because probes cluster near interesting limit points.
+The second fact is computed by an ordered branch-and-bound over
+non-decreasing denominators. When the next denominator is x and k terms
+remain, those terms add at most k/x; so with acc the sum so far and best
+the largest sum below l found so far, branch x and every larger x are
+cut once acc + k/x <= best. The cut ends every loop, because the first
+child of a node already lifts best above acc while k/x falls to zero.
+The last term needs no loop: it is the smallest admissible x with
+1/x < l - acc. A new best is kept only when strictly greater, so among
+equal sums the first one met in the search order is the witness. The
+search runs in plain integers and gives up with SearchBudgetExceeded
+once it has visited more than SEARCH_BUDGET nodes. The certificates are
+re-checked by an independent interval scan in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
-from .errors import NoElementBelow
+from .errors import NoElementBelow, SearchBudgetExceeded
 from .rationals import format_rational
 
-_MEMO_SIZE = 1 << 16
+# Nodes one gap search may visit: over 1000 times the 7 725 that the
+# costliest probe of the tests and the benchmark, max_below(4, 4/11), needs.
+# A search that uses it all fails after 13-20 s on a two-core x86 host.
+SEARCH_BUDGET = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -172,33 +169,46 @@ def _solve_rec(
 
 
 # ---------------------------------------------------------------------------
-# gap recursion
+# gap search
 # ---------------------------------------------------------------------------
 
 
-def _floor_inv(l: Fraction) -> int:
-    """floor(1/l) for positive l."""
-    return l.denominator // l.numerator
+def _search(n: int, l: Fraction) -> tuple[Fraction, tuple[int, ...], int]:
+    """(max of S_n strictly below l, one witness in ascending order, nodes visited).
 
+    Every sum is tracked by its residual l - sum as an integer pair a/b,
+    and the best sum so far by its residual c/d, so the cut
+    acc + k/x <= best reads k/x <= a/b - c/d.
+    """
+    c, d = l.numerator, l.denominator  # the empty sum
+    best_wit: tuple[int, ...] = ()
+    stack: list[int] = []
+    nodes = 0
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _gap(n: int, l: Fraction) -> tuple[Fraction, tuple[int, ...]]:
-    """(max of S_n strictly below l, one witness as a denominator tuple)."""
-    if n == 1:
-        x = _floor_inv(l) + 1
-        return Fraction(1, x), (x,)
-    prev_val, prev_wit = _gap(n - 1, l)
-    threshold = l - prev_val
-    x_stab = _floor_inv(threshold) + 1
-    best_val = Fraction(1, x_stab) + prev_val
-    best_wit = (x_stab,) + prev_wit
-    x_min = _floor_inv(l) + 1
-    for x in range(x_min, x_stab):
-        val, wit = _gap(n - 1, l - Fraction(1, x))
-        cand = Fraction(1, x) + val
-        if cand > best_val:
-            best_val, best_wit = cand, (x,) + wit
-    return best_val, best_wit
+    def branch(k: int, a: int, b: int, lo: int) -> None:
+        nonlocal c, d, best_wit, nodes
+        nodes += 1
+        if nodes > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(
+                f"{n}-term gap search below {format_rational(l)} passed its "
+                f"budget of {SEARCH_BUDGET} nodes"
+            )
+        x = max(lo, b // a + 1)  # the smallest admissible x with 1/x < a/b
+        if k == 1:
+            num, den = a * x - b, b * x
+            if num * d < c * den:
+                c, d, best_wit = num, den, (*stack, x)
+            return
+        while k * b * d > x * (a * d - c * b):
+            num, den = a * x - b, b * x
+            g = gcd(num, den)
+            stack.append(x)
+            branch(k - 1, num // g, den // g, x)
+            stack.pop()
+            x += 1
+
+    branch(n, l.numerator, l.denominator, 1)
+    return l - Fraction(c, d), best_wit, nodes
 
 
 def max_below(n: int, l) -> GapCertificate:
@@ -207,40 +217,25 @@ def max_below(n: int, l) -> GapCertificate:
     Such a maximum always exists for l > 0 (sums with huge denominators
     are arbitrarily small), so ``NoElementBelow`` is defensive only.
 
-    Cost warning: the number of exact branches at level n is about the
-    reciprocal of the level-(n-1) gap below l, which can shrink
-    double-exponentially in n (Sylvester-style growth). Probes are exact
-    and results certified at any size, but small probes with four or
-    more terms can be astronomically expensive.
+    Cost warning: the bound k/x cuts the search to a few hundred nodes
+    for most probes with up to four terms, but the node count still grows
+    with the term count and as the probe shrinks (``max_below(4, 1/11)``
+    visits 244 167 nodes). A search that passes ``SEARCH_BUDGET`` nodes
+    raises ``SearchBudgetExceeded`` instead of running on.
     """
     if n < 1:
         raise ValueError("term count must be >= 1")
     l = Fraction(l)
     if l <= 0:
         raise NoElementBelow(f"no {n}-term value below {format_rational(l)}")
-    value, wit = _gap(n, l)
-    witness = UnitFractionMultiset(tuple(sorted(wit, reverse=True)))
-    trace = _top_trace(n, l)
+    value, wit, nodes = _search(n, l)
     return GapCertificate(
         n=n,
         l=l,
         max_below=value,
         epsilon=l - value,
-        witness=witness,
-        search_trace=trace,
-    )
-
-
-def _top_trace(n: int, l: Fraction) -> tuple[str, ...]:
-    """Top-level branch log (diagnostic; bounded size)."""
-    if n == 1:
-        return (f"terms=1 probe={format_rational(l)} closed form",)
-    prev_val, _ = _gap(n - 1, l)
-    x_stab = _floor_inv(l - prev_val) + 1
-    x_min = _floor_inv(l) + 1
-    return (
-        f"terms={n} probe={format_rational(l)} "
-        f"exact-branches={x_min}..{x_stab - 1} stabilized-at={x_stab}",
+        witness=UnitFractionMultiset(wit[::-1]),
+        search_trace=(f"terms={n} probe={format_rational(l)} branches={nodes}",),
     )
 
 
@@ -295,6 +290,9 @@ def candidate_gap(n: int, l) -> SpectrumQuery:
     an abelian normal subgroup of index n, but is generally a strict
     superset (grid entries are not independent), so certified gaps are
     lower bounds on the true spectrum gaps.
+
+    One search at m = n^2 - 1 covers every smaller m: a maximum v of S_m
+    below the inner probe is beaten by v + 1/X in S_(m+1) for X large.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -306,12 +304,16 @@ def candidate_gap(n: int, l) -> SpectrumQuery:
         raise NoElementBelow(
             f"no candidate value below {format_rational(l)} at index {n}"
         )
-    best_s = Fraction(0)
-    best_wit: tuple[int, ...] = ()
-    for m in range(1, n * n):
-        val, wit = _gap(m, inner)
-        if val > best_s:
-            best_s, best_wit = val, wit
+    m = n * n - 1
+    if m == 0:
+        best_s, best_wit, nodes = Fraction(0), (), 0
+    else:
+        try:
+            best_s, best_wit, nodes = _search(m, inner)
+        except SearchBudgetExceeded as exc:
+            raise SearchBudgetExceeded(
+                f"index {n} at {format_rational(l)}: {exc}"
+            ) from None
     value = (1 + best_s) / (n * n)
     scaled = (n * n,) + tuple(n * n * x for x in best_wit)
     witness = UnitFractionMultiset(tuple(sorted(scaled, reverse=True)))
@@ -323,7 +325,7 @@ def candidate_gap(n: int, l) -> SpectrumQuery:
         witness=witness,
         search_trace=(
             f"index={n} probe={format_rational(l)} "
-            f"inner-probe={format_rational(inner)} best-terms={len(best_wit)}",
+            f"inner-probe={format_rational(inner)} terms={m} branches={nodes}",
         ),
     )
     return SpectrumQuery(index=n, probe=l, result=cert)

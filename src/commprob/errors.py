@@ -45,6 +45,10 @@ class NoElementBelow(CommprobError):
     """The queried set has no element in the open interval (0, probe)."""
 
 
+class SearchBudgetExceeded(CommprobError):
+    """A gap search visited more nodes than its budget allows."""
+
+
 class UnsupportedParams(CommprobError):
     """Family parameters outside the supported range."""
 

@@ -21,5 +21,11 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``a/b`` or a bare integer into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse ``a/b`` or a bare integer into an exact Fraction.
+
+    Malformed text and a zero denominator both raise ``ValueError``.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

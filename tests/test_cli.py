@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import commprob.egyptian
 from commprob.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -160,6 +161,20 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "no entry named" in err
     code, _, err = run(capsys, "spectrum", "gap", "--index", "1", "--at", "1")
     assert code == 1 and "no candidate value" in err
+    code, out, err = run(capsys, "egyptian", "gap", "--terms", "2", "--below", "1/0")
+    assert code == 1 and out == "" and "error:" in err
+    code, out, err = run(capsys, "scan", "--corpus", "4", "--interval", "1/2..1/0")
+    assert code == 1 and out == "" and "error:" in err
+
+
+def test_search_budget_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(commprob.egyptian, "SEARCH_BUDGET", 1000)
+    code, out, err = run(capsys, "egyptian", "gap", "--terms", "4", "--below", "1/11")
+    assert code == 1 and out == ""
+    assert "error:" in err and "1/11" in err and "1000" in err
+    code, out, err = run(capsys, "spectrum", "gap", "--index", "3", "--at", "1/3")
+    assert code == 1 and out == ""
+    assert "error:" in err and "1/3" in err and "1000" in err
 
 
 def test_decompose_bad_subgroup_is_domain_error(capsys):

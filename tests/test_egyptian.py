@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commprob.egyptian import (
     GapCertificate,
@@ -147,6 +149,34 @@ def test_certificates_verified_by_interval_scan():
         assert not interval_has_sum(n, v, l), (n, l)
         # and the witness itself is found just below: (v - delta, l) is hit
         assert interval_has_sum(n, v - Fraction(1, 10**6), l), (n, l)
+    # 4-term probes: each is a few hundred search nodes
+    for l in (Fraction(2, 3), Fraction(9, 8), Fraction(7, 6), Fraction(1, 2), Fraction(5, 8)):
+        v = max_below(4, l).max_below
+        assert not interval_has_sum(4, v, l), (4, l)
+        assert interval_has_sum(4, v - Fraction(1, 10**6), l), (4, l)
+
+
+# every l = a/b in [1/3, 2) with b <= 12
+_PROPERTY_PROBES = sorted(
+    {Fraction(a, b) for b in range(1, 13) for a in range(1, 2 * b)
+     if Fraction(1, 3) <= Fraction(a, b) < 2}
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), l=st.sampled_from(_PROPERTY_PROBES))
+def test_max_below_leaves_empty_gap(n, l):
+    cert = max_below(n, l)
+    assert not interval_has_sum(n, cert.max_below, l)
+
+
+def test_search_trace_counts_nodes():
+    cert = max_below(4, Fraction(3, 4))
+    (line,) = cert.search_trace
+    assert line.startswith("terms=4 probe=3/4 branches=")
+    assert int(line.rsplit("=", 1)[1]) > 1
+    assert max_below(4, Fraction(3, 4)).search_trace == cert.search_trace
+    assert "search_trace" not in cert.to_json_dict()
 
 
 def test_descend_examples():
@@ -206,6 +236,13 @@ def test_candidate_gap_values():
     q = candidate_gap(2, Fraction(1, 2))
     assert q.result.max_below == Fraction(83, 168)
     assert q.result.epsilon == Fraction(1, 168)
+
+
+def test_candidate_gap_index_one():
+    # index 1 has no unit-fraction terms: the only candidate is 1
+    q = candidate_gap(1, 2)
+    assert q.result.max_below == 1
+    assert q.result.witness.terms == (1,)
 
 
 def test_candidate_gap_no_value_below():
