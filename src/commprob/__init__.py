@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedParams,
     ValidationError,
 )
-from .rationals import RationalValue, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .groups import (
     ClassPartition,
     GroupTable,

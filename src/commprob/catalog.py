@@ -7,19 +7,20 @@ with an optional on-disk cache keyed by the canonical table bytes,
 aggregate the observed value spectrum with witnesses, and scans ask
 whether any observed value lies in a given interval.
 
-Reports are deterministic: a survey run with N workers produces the
-same serialized report as a serial run (timing and cache statistics are
-excluded from the canonical serialization).
+Surveys run their entries one after another in catalog order, so a
+report is deterministic (timing and cache statistics are excluded from
+the canonical serialization).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from .groups import (
     build_from_permutations,
     conjugacy_classes,
     parse_cycles,
+    prime_power,
 )
 from .probability import PrReport
 from .rationals import format_rational, parse_rational
@@ -123,6 +125,16 @@ def ingest(path) -> list[CatalogEntry]:
                     f"line {lineno}: unknown source {source!r}", line=lineno
                 )
             expected = data.get("expected_pr")
+            tags = data.get("tags", [])
+            try:
+                if expected is not None:
+                    if not isinstance(expected, str):
+                        raise ValueError(f"expected_pr must be a string, got {expected!r}")
+                    expected = parse_rational(expected)
+                if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                    raise ValueError(f"tags must be a list of strings, got {tags!r}")
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}", line=lineno) from exc
             entries.append(
                 CatalogEntry(
                     name=str(data["name"]),
@@ -132,8 +144,8 @@ def ingest(path) -> list[CatalogEntry]:
                         for k, v in data.items()
                         if k not in ("name", "source", "expected_pr", "tags")
                     },
-                    expected_pr=None if expected is None else parse_rational(expected),
-                    tags=tuple(data.get("tags", ())),
+                    expected_pr=expected,
+                    tags=tuple(tags),
                 )
             )
     return entries
@@ -146,7 +158,11 @@ def ingest(path) -> list[CatalogEntry]:
 
 @dataclass(frozen=True)
 class EntryFilter:
-    """Predicate over surveyed rows; unset fields do not constrain."""
+    """Predicate over surveyed rows; unset fields do not constrain.
+
+    ``p_power`` must be a prime p; it keeps groups of p-power order,
+    the trivial group included.
+    """
 
     max_order: int | None = None
     min_order: int | None = None
@@ -156,6 +172,10 @@ class EntryFilter:
     nonabelian_only: bool = False
     max_center_index: int | None = None
     tag: str | None = None
+
+    def __post_init__(self):
+        if self.p_power is not None and prime_power(self.p_power) != (self.p_power, 1):
+            raise ValueError(f"p-group filter needs a prime, got {self.p_power}")
 
     def describe(self) -> str:
         parts = []
@@ -184,8 +204,10 @@ class EntryFilter:
             return False
         if self.min_order is not None and row.order < self.min_order:
             return False
-        if self.p_power is not None and not _is_power_of(row.order, self.p_power):
-            return False
+        if self.p_power is not None and row.order > 1:
+            pk = prime_power(row.order)
+            if pk is None or pk[0] != self.p_power:
+                return False
         if self.odd_order and row.order % 2 == 0:
             return False
         if self.abelian_only and not row.is_abelian:
@@ -200,14 +222,6 @@ class EntryFilter:
         if self.tag is not None and self.tag not in row.tags:
             return False
         return True
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    if n < 1 or p < 2:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +368,18 @@ def survey(
     cache_dir=None,
     universe: str | None = None,
 ) -> SurveyReport:
-    """Compute Pr for every entry; aggregate the observed spectrum.
+    """Compute Pr for every entry, one after another; aggregate the
+    observed spectrum.
 
     Per-entry errors (and expected-value mismatches) become FAILED rows;
     the batch never aborts. Rows excluded by the filter are dropped from
-    the report, FAILED rows are always kept. Results are independent of
-    ``jobs``.
+    the report, FAILED rows are always kept. ``jobs`` is accepted and
+    ignored: entries run serially, which measured faster than a thread
+    pool.
     """
     entries = list(entries)
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda e: _compute_row(e, cache_dir), entries))
-    else:
-        results = [_compute_row(e, cache_dir) for e in entries]
+    results = [_compute_row(e, cache_dir) for e in entries]
     hits = sum(1 for _, h in results if h)
 
     rows: list[SurveyRow] = []
@@ -509,13 +521,20 @@ def resolve_cache_dir(flag_value=None):
 
 
 def cache_store(cache_dir, key: str, report: PrReport) -> None:
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    """Write one entry through a temporary file named for this process and
+    thread, so concurrent writers never collide. A failed store is logged
+    as a warning, never raised: the caller keeps its computed row."""
+    target = Path(cache_dir) / f"{key}.cpr"
+    tmp = target.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
     body = json.dumps(report.to_json_dict()).encode("utf-8")
-    target = path / f"{key}.cpr"
-    tmp = target.with_suffix(".tmp")
-    tmp.write_bytes(_CACHE_MAGIC + body)
-    tmp.replace(target)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(_CACHE_MAGIC + body)
+        tmp.replace(target)
+    except OSError as exc:
+        log.warning("cache store to %s failed (%s); result not cached", target, exc)
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def cache_load(cache_dir, key: str) -> PrReport | None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -100,22 +99,28 @@ def _filter_from_args(args) -> EntryFilter | None:
     return None if flt.describe() == "all" else flt
 
 
-def _add_filter_flags(p: argparse.ArgumentParser) -> None:
+def _add_survey_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``survey`` and ``scan`` share."""
+    p.add_argument("--catalog", help="line-delimited JSON catalog")
+    p.add_argument("--corpus", type=int, metavar="MAXORDER",
+                   help="use the built-in family corpus up to this order")
+    p.add_argument("--open", action="store_true", help="open at both ends (default)")
+    p.add_argument("--closed-left", action="store_true")
+    p.add_argument("--closed-right", action="store_true")
+    p.add_argument("--closed", action="store_true", help="closed at both ends")
     p.add_argument("--filter-max-order", type=int, default=None)
     p.add_argument("--filter-min-order", type=int, default=None)
-    p.add_argument("--filter-p-group", type=int, default=None, metavar="P")
+    p.add_argument("--filter-p-group", type=int, default=None, metavar="P",
+                   help="groups of order a power of the prime P")
     p.add_argument("--filter-odd", action="store_true")
     p.add_argument("--filter-abelian", action="store_true")
     p.add_argument("--filter-nonabelian", action="store_true")
     p.add_argument("--filter-max-center-index", type=int, default=None)
     p.add_argument("--filter-tag", default=None)
-
-
-def _add_endpoint_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--open", action="store_true", help="open at both ends (default)")
-    p.add_argument("--closed-left", action="store_true")
-    p.add_argument("--closed-right", action="store_true")
-    p.add_argument("--closed", action="store_true", help="closed at both ends")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: surveys run serially")
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,26 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sgap.add_argument("--json", action="store_true")
 
     p_sur = sub.add_parser("survey", help="batch Pr over a catalog or built-in corpus")
-    p_sur.add_argument("--catalog", help="line-delimited JSON catalog")
-    p_sur.add_argument("--corpus", type=int, metavar="MAXORDER",
-                       help="use the built-in family corpus up to this order")
+    _add_survey_flags(p_sur)
     p_sur.add_argument("--scan", metavar="LO..HI", help="scan an interval instead of listing rows")
-    _add_endpoint_flags(p_sur)
-    _add_filter_flags(p_sur)
-    p_sur.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_sur.add_argument("--cache-dir", default=None)
-    p_sur.add_argument("--json", action="store_true")
     p_sur.add_argument("--csv", action="store_true")
 
-    p_scan = sub.add_parser("scan", help="interval scan over a catalog or corpus")
-    p_scan.add_argument("--catalog")
-    p_scan.add_argument("--corpus", type=int, metavar="MAXORDER")
-    p_scan.add_argument("--interval", required=True, metavar="LO..HI")
-    _add_endpoint_flags(p_scan)
-    _add_filter_flags(p_scan)
-    p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_scan.add_argument("--cache-dir", default=None)
-    p_scan.add_argument("--json", action="store_true")
+    p_scan = sub.add_parser("scan", help="interval scan over a catalog or corpus (survey --scan)")
+    _add_survey_flags(p_scan)
+    p_scan.add_argument("--interval", dest="scan", required=True, metavar="LO..HI")
     return parser
 
 
@@ -292,13 +284,8 @@ def _entries_from_args(parser, args):
     return entries, f"built-in corpus({args.corpus})"
 
 
-def _endpoints(args) -> tuple[bool, bool]:
-    closed_lo = args.closed or args.closed_left
-    closed_hi = args.closed or args.closed_right
-    return closed_lo, closed_hi
-
-
 def _cmd_survey(parser, args) -> int:
+    """``survey``, and ``scan``, whose ``--interval`` is ``survey --scan``."""
     entries, universe = _entries_from_args(parser, args)
     flt = _filter_from_args(args)
     report = survey(
@@ -310,37 +297,22 @@ def _cmd_survey(parser, args) -> int:
     )
     if args.scan:
         lo, hi = _parse_interval(args.scan)
-        closed_lo, closed_hi = _endpoints(args)
-        finding = scan_interval(report, lo, hi, closed_lo=closed_lo, closed_hi=closed_hi)
+        finding = scan_interval(
+            report,
+            lo,
+            hi,
+            closed_lo=args.closed or args.closed_left,
+            closed_hi=args.closed or args.closed_right,
+            flt=flt,
+        )
         if args.json:
             print(json.dumps(finding.to_json_dict(), indent=2))
         else:
             print(finding.summary())
-        return 0
-    if args.json:
+    elif args.json:
         print(report.to_json())
     else:
         sys.stdout.write(report.to_csv())
-    return 0
-
-
-def _cmd_scan(parser, args) -> int:
-    entries, universe = _entries_from_args(parser, args)
-    flt = _filter_from_args(args)
-    report = survey(
-        entries,
-        flt,
-        jobs=args.jobs,
-        cache_dir=resolve_cache_dir(args.cache_dir),
-        universe=universe,
-    )
-    lo, hi = _parse_interval(args.interval)
-    closed_lo, closed_hi = _endpoints(args)
-    finding = scan_interval(report, lo, hi, closed_lo=closed_lo, closed_hi=closed_hi)
-    if args.json:
-        print(json.dumps(finding.to_json_dict(), indent=2))
-    else:
-        print(finding.summary())
     return 0
 
 
@@ -353,7 +325,7 @@ def main(argv=None) -> int:
         "egyptian": _cmd_egyptian,
         "spectrum": _cmd_spectrum,
         "survey": _cmd_survey,
-        "scan": _cmd_scan,
+        "scan": _cmd_survey,
     }
     try:
         return handlers[args.command](parser, args)

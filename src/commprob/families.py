@@ -12,6 +12,7 @@ metadata where standard, never computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -19,18 +20,19 @@ import numpy as np
 
 from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
+    _DTYPE,
+    ORDER_CAP,
     GroupTable,
     Permutation,
     build_from_permutations,
     conjugacy_classes,
     direct_product,
     is_abelian,
+    prime_power,
     quotient,
     subgroup_from_generators,
 )
 from .probability import pr_direct
-
-_DTYPE = np.int32
 
 SYMMETRIC_DEGREE_CAP = 7
 ALTERNATING_DEGREE_CAP = 7
@@ -64,17 +66,6 @@ class FamilySpec:
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +211,68 @@ def _extraspecial_pr(p: int, s: int) -> Fraction:
     return Fraction(1, p) * (1 + Fraction(p - 1, p ** (2 * s)))
 
 
-def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
-    """Build the group named by ``spec`` and fill in its known metadata."""
-    fam, params = spec.family, tuple(spec.params)
+def _order_of(fam: str, params: tuple[int, ...]) -> int:
+    """Check a member's parameters and return its order, building nothing."""
+    if fam == "product":
+        left, right = _split_product_params(params)
+        return _order_of(left.family, left.params) * _order_of(right.family, right.params)
+    if fam not in _FAMILY_ARITY:
+        raise UnsupportedParams(f"unknown family {fam!r}")
+    if len(params) != _FAMILY_ARITY[fam]:
+        raise UnsupportedParams(
+            f"{fam} takes {_FAMILY_ARITY[fam]} parameter(s), got {list(params)}"
+        )
+    n = params[0]
     if fam == "cyclic":
-        (n,) = _require_params(fam, params, 1)
         if n < 1:
             raise UnsupportedParams("cyclic order must be >= 1")
-        table = cyclic_table(n)
+        return n
+    if fam == "dihedral":
+        if n < 2:
+            raise UnsupportedParams("dihedral parameter must be >= 2")
+        return 2 * n
+    if fam == "symmetric":
+        if n < 1:
+            raise UnsupportedParams("symmetric degree must be >= 1")
+        if n > SYMMETRIC_DEGREE_CAP:
+            raise OrderCapExceeded(f"symmetric degree capped at {SYMMETRIC_DEGREE_CAP}")
+        return math.factorial(n)
+    if fam == "alternating":
+        if n < 3:
+            raise UnsupportedParams("alternating degree must be >= 3")
+        if n > ALTERNATING_DEGREE_CAP:
+            raise OrderCapExceeded(f"alternating degree capped at {ALTERNATING_DEGREE_CAP}")
+        return math.factorial(n) // 2
+    if fam == "dicyclic":
+        if n < 2:
+            raise UnsupportedParams("dicyclic parameter must be >= 2")
+        return 4 * n
+    p, s = params
+    if s >= 1 and p ** (2 * s + 1) > EXTRASPECIAL_ORDER_CAP:  # before a slow primality test
+        raise OrderCapExceeded(f"extraspecial order capped at {EXTRASPECIAL_ORDER_CAP}")
+    if prime_power(p) != (p, 1) or s < 1:
+        raise UnsupportedParams("extraspecial needs a prime p and s >= 1")
+    return p ** (2 * s + 1)
+
+
+def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
+    """Build the group named by ``spec`` and fill in its known metadata.
+
+    Parameters and the order are checked before anything is built.
+    """
+    fam, params = spec.family, tuple(spec.params)
+    order = _order_of(fam, params)
+    if order > ORDER_CAP:
+        raise OrderCapExceeded(
+            f"{fam}{list(params)} has order {order}, above the cap of {ORDER_CAP}"
+        )
+    if fam == "cyclic":
+        table = cyclic_table(params[0])
         filled = replace(
             spec, name=table.name, expected_pr=Fraction(1), pr_provenance="abelian"
         )
     elif fam == "dihedral":
-        (n,) = _require_params(fam, params, 1)
-        if n < 2:
-            raise UnsupportedParams("dihedral parameter must be >= 2")
+        (n,) = params
         table = dihedral_group(n)
         filled = replace(
             spec,
@@ -245,11 +283,7 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
             d_provenance=_D_PROVENANCE if n >= 3 else None,
         )
     elif fam == "symmetric":
-        (n,) = _require_params(fam, params, 1)
-        if n < 1:
-            raise UnsupportedParams("symmetric degree must be >= 1")
-        if n > SYMMETRIC_DEGREE_CAP:
-            raise OrderCapExceeded(f"symmetric degree capped at {SYMMETRIC_DEGREE_CAP}")
+        (n,) = params
         table = symmetric_group(n)
         filled = replace(spec, name=table.name)
         if n == 4:
@@ -261,11 +295,7 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
                 d_provenance=_D_PROVENANCE,
             )
     elif fam == "alternating":
-        (n,) = _require_params(fam, params, 1)
-        if n < 3:
-            raise UnsupportedParams("alternating degree must be >= 3")
-        if n > ALTERNATING_DEGREE_CAP:
-            raise OrderCapExceeded(f"alternating degree capped at {ALTERNATING_DEGREE_CAP}")
+        (n,) = params
         table = alternating_group(n)
         filled = replace(spec, name=table.name)
         if n == 4:
@@ -283,19 +313,10 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
                 d_provenance=_D_PROVENANCE,
             )
     elif fam == "dicyclic":
-        (m,) = _require_params(fam, params, 1)
-        if m < 2:
-            raise UnsupportedParams("dicyclic parameter must be >= 2")
-        table = dicyclic_table(m)
+        table = dicyclic_table(params[0])
         filled = replace(spec, name=table.name)
     elif fam == "extraspecial":
-        p, s = _require_params(fam, params, 2)
-        if not _is_prime(p) or s < 1:
-            raise UnsupportedParams("extraspecial needs a prime p and s >= 1")
-        if p ** (2 * s + 1) > EXTRASPECIAL_ORDER_CAP:
-            raise OrderCapExceeded(
-                f"extraspecial order capped at {EXTRASPECIAL_ORDER_CAP}"
-            )
+        p, s = params
         table = heisenberg_table(p, s)
         filled = replace(
             spec,
@@ -305,7 +326,7 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
             expected_d=p**s,
             d_provenance=_D_PROVENANCE,
         )
-    elif fam == "product":
+    else:
         left, right = _split_product_params(params)
         table_a, spec_a = make(left)
         table_b, spec_b = make(right)
@@ -324,15 +345,7 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
             expected_d=d,
             d_provenance=d_prov,
         )
-    else:
-        raise UnsupportedParams(f"unknown family {fam!r}")
     return table, filled
-
-
-def _require_params(fam: str, params: tuple[int, ...], count: int) -> tuple[int, ...]:
-    if len(params) != count:
-        raise UnsupportedParams(f"{fam} takes {count} parameter(s), got {list(params)}")
-    return params
 
 
 def _combine_degrees(ta, sa, tb, sb) -> tuple[int | None, str | None]:
@@ -407,12 +420,12 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
         n += 1
         fact *= n
     n = 3
-    while n <= ALTERNATING_DEGREE_CAP and _half_factorial(n) <= max_order:
+    while n <= ALTERNATING_DEGREE_CAP and math.factorial(n) // 2 <= max_order:
         base_specs.append(FamilySpec("alternating", (n,)))
         n += 1
     p = 2
     while p**3 <= min(max_order, EXTRASPECIAL_ORDER_CAP):
-        if _is_prime(p):
+        if prime_power(p) == (p, 1):
             s = 1
             while p ** (2 * s + 1) <= min(max_order, EXTRASPECIAL_ORDER_CAP):
                 base_specs.append(FamilySpec("extraspecial", (p, s)))
@@ -428,13 +441,6 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
                 continue
             out.append(make(product_spec(sa, sb)))
     return out
-
-
-def _half_factorial(n: int) -> int:
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return f // 2
 
 
 def fingerprint(G: GroupTable) -> tuple[int, Fraction, tuple[int, ...]]:

@@ -47,6 +47,18 @@ ORDER_CAP = 20_000
 _DTYPE = np.int32
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k, p prime and k >= 1; None if n is not a prime power."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -176,10 +188,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == im for i, im in enumerate(self.images))
-
-
-def identity_permutation(degree: int) -> Permutation:
-    return Permutation(degree, tuple(range(degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +484,6 @@ def whole_group(G: GroupTable) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
 
 
-def trivial_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, (0,))
-
-
 def subgroup_table(G: GroupTable, sub: Subgroup | Sequence[int]) -> GroupTable:
     """The member set of ``sub`` as a group in its own right (identity first)."""
     members = np.asarray(
@@ -675,22 +679,18 @@ def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
     return count
 
 
-def _lower_central_reaches_trivial(T: GroupTable) -> bool:
-    allv = np.arange(T.order, dtype=_DTYPE)
+def is_nilpotent(G: GroupTable) -> bool:
+    """Lower central series reaches the trivial subgroup."""
+    allv = np.arange(G.order, dtype=_DTYPE)
     gamma = allv
     while True:
-        comms = _commutator_values(T, allv, gamma)
-        nxt = _closure(T.op, comms)
+        comms = _commutator_values(G, allv, gamma)
+        nxt = _closure(G.op, comms)
         if nxt.size == 1:
             return True
         if nxt.size == gamma.size:
             return False
         gamma = nxt
-
-
-def is_nilpotent(G: GroupTable) -> bool:
-    """Lower central series reaches the trivial subgroup."""
-    return _lower_central_reaches_trivial(G)
 
 
 def fitting_subgroup(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> Subgroup:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import PreconditionFailed
 from .groups import (
+    _DTYPE,
     SUBGROUP_CUTOFF,
     GroupTable,
     Subgroup,
@@ -30,12 +31,11 @@ from .groups import (
     is_abelian,
     is_normal,
     orbit_count_on_normal,
+    prime_power,
     quotient,
     subgroup_table,
 )
 from .rationals import format_rational
-
-_DTYPE = np.int32
 
 GUSTAFSON_BOUND = Fraction(5, 8)
 
@@ -88,14 +88,6 @@ def _elementary_abelian_two_rank(T: GroupTable) -> int | None:
     return n.bit_length() - 1
 
 
-def _looks_like_s3(T: GroupTable) -> bool:
-    return T.order == 6 and not is_abelian(T)
-
-
-def _looks_like_klein_four(T: GroupTable) -> bool:
-    return _elementary_abelian_two_rank(T) == 2
-
-
 # ---------------------------------------------------------------------------
 # central p-group closed form
 # ---------------------------------------------------------------------------
@@ -121,25 +113,6 @@ class FormulaTrace:
     special_s: int | None = None
 
 
-def _prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k, k >= 1; None if n is not a prime power."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
-
-
 def _commutators_with(G: GroupTable, x: int) -> np.ndarray:
     """[g, x] for all g, as a vector over g."""
     n = G.order
@@ -158,7 +131,7 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
     "1 + sum over proper K" presentation. For D cyclic of order p with
     |G/Z| = p^(2s) this collapses to (1/p)(1 + (p-1)/p^(2s)).
     """
-    pk = _prime_power(G.order)
+    pk = prime_power(G.order)
     if pk is None:
         raise PreconditionFailed(f"order {G.order} is not a prime power")
     p, _ = pk
@@ -255,7 +228,8 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
                 )
             )
 
-    if derived.order == 3 and _looks_like_s3(central_quotient):
+    # S3 is the only nonabelian group of order 6.
+    if derived.order == 3 and central_quotient.order == 6 and not is_abelian(central_quotient):
         predicted = Fraction(1, 2)
         out.append(
             SpecialFormMatch(
@@ -461,7 +435,7 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
             BoundResult("gustafson", "<=", pr, GUSTAFSON_BOUND, pr <= GUSTAFSON_BOUND)
         )
         is_eq = pr == GUSTAFSON_BOUND
-        klein = _looks_like_klein_four(quotient(G, zent))
+        klein = _elementary_abelian_two_rank(quotient(G, zent)) == 2  # C2 x C2
         results.append(
             BoundResult(
                 "gustafson-equality",
@@ -511,7 +485,7 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
             )
         )
 
-    derived_order = _derived_order(G)
+    derived_order = derived_subgroup(G).order
     rhs = Fraction(1, 4) + Fraction(3, 4) * Fraction(1, derived_order)
     results.append(BoundResult("derived-bound", "<=", pr, rhs, pr <= rhs))
 
@@ -559,10 +533,6 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
         center_index=center_index,
         bounds=tuple(results),
     )
-
-
-def _derived_order(G: GroupTable) -> int:
-    return derived_subgroup(G).order
 
 
 # ---------------------------------------------------------------------------

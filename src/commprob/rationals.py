@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-RationalValue = Fraction
-
 
 def format_rational(q: Fraction) -> str:
     """Lowest-terms ``a/b``; whole numbers print bare (``1``, not ``1/1``)."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +71,14 @@ def test_ingest_parse_error_has_line(tmp_path):
     with pytest.raises(ParseError) as e:
         ingest(path)
     assert e.value.line == 2
+    for extra in ['"expected_pr": "1/0"', '"expected_pr": 1', '"tags": "ab"']:
+        path.write_text(
+            '{"name": "ok", "source": "family", "family": "cyclic", "params": [3]}\n'
+            f'{{"name": "bad", "source": "family", "family": "cyclic", "params": [3], {extra}}}\n'
+        )
+        with pytest.raises(ParseError) as e:
+            ingest(path)
+        assert e.value.line == 2 and "line 2" in str(e.value)
 
 
 def test_ingest_rejects_unknown_source(tmp_path):
@@ -199,6 +208,15 @@ def test_filter_descriptions():
     assert f.describe() == "order<=343, p-group:7, odd-order"
 
 
+def test_p_group_filter_needs_a_prime(corpus16):
+    report = survey(corpus_entries(corpus16), EntryFilter(p_power=2))
+    orders = {r.order for r in report.rows}
+    assert orders == {1, 2, 4, 8, 16}  # the trivial group is a 2-group
+    for bad in (0, 1, 4, 12):
+        with pytest.raises(ValueError):
+            EntryFilter(p_power=bad)
+
+
 def test_small_center_index_spectrum_snapshot(corpus128):
     """Groups with central quotient of order <= 8 realize finitely many
     values; the snapshot below is the regression witness over corpus(128)."""
@@ -254,6 +272,39 @@ def test_survey_uses_cache(tmp_path, corpus16):
     second = survey(entries, cache_dir=tmp_path)
     assert second.cache_hits == len(entries)
     assert first.to_json() == second.to_json()
+
+
+def test_concurrent_cache_stores_never_collide(tmp_path, caplog):
+    report = PrReport("D4", 8, 5, Fraction(5, 8), 4)
+    errors = []
+
+    def hammer():
+        try:
+            for _ in range(50):
+                cache_store(tmp_path, "k", report)
+        except Exception as exc:  # pragma: no cover - the failure being tested
+            errors.append(exc)
+
+    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert errors == [] and caplog.records == []
+    assert cache_load(tmp_path, "k") == report
+    assert [p.name for p in tmp_path.iterdir()] == ["k.cpr"]
+
+
+def test_failed_cache_store_keeps_rows(tmp_path, corpus16, caplog):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    entries = corpus_entries(corpus16)
+    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
+        report = survey(entries, cache_dir=not_a_dir, universe="x")
+    assert report.rows and all(r.status == "ok" for r in report.rows)
+    assert report.to_json() == survey(entries, universe="x").to_json()
+    assert any(str(not_a_dir) in rec.getMessage() for rec in caplog.records)
 
 
 def test_resolve_cache_dir(monkeypatch, tmp_path):

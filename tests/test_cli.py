@@ -136,6 +136,22 @@ def test_scan_subcommand(capsys):
         capsys, "scan", "--corpus", "24", "--interval", "7/16..1/2", "--open"
     )
     assert code == 0 and out.startswith("EMPTY (universe:")
+    # scan --interval is survey --scan under another name
+    flags = ["--corpus", "24", "--closed-left", "--filter-nonabelian"]
+    for extra in ([], ["--json"]):
+        _, via_scan, _ = run(capsys, "scan", "--interval", "1/2..1", *flags, *extra)
+        _, via_survey, _ = run(capsys, "survey", "--scan", "1/2..1", *flags, *extra)
+        assert via_scan == via_survey and via_scan
+
+
+def test_scan_reports_its_filter(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--catalog", str(DATA / "exponent7_catalog.jsonl"),
+        "--interval", "5/2401..1/343", "--closed", "--filter-p-group", "7", "--json",
+    )
+    data = json.loads(out)
+    assert code == 0 and data["filter"] == "p-group:7"
+    assert data["universe"].endswith("filter: p-group:7")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -165,6 +181,10 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and out == "" and "error:" in err
     code, out, err = run(capsys, "scan", "--corpus", "4", "--interval", "1/2..1/0")
     assert code == 1 and out == "" and "error:" in err
+    code, out, err = run(
+        capsys, "scan", "--corpus", "8", "--interval", "1/2..1", "--filter-p-group", "4"
+    )
+    assert code == 1 and out == "" and "error:" in err and "prime" in err
 
 
 def test_search_budget_exit_1(capsys, monkeypatch):

@@ -163,3 +163,32 @@ def test_corpus_is_deterministic():
 def test_family_spec_json():
     spec = FamilySpec("dihedral", (7,))
     assert spec.to_json_dict() == {"family": "dihedral", "params": [7]}
+
+
+def test_order_is_checked_before_building(monkeypatch, capsys):
+    from commprob import families
+    from commprob.cli import main
+
+    monkeypatch.setattr(families, "ORDER_CAP", 100)
+    assert make(FamilySpec("cyclic", (100,)))[0].order == 100
+    assert main(["pr", "--family", "cyclic", "--params", "100"]) == 0
+
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("built a group above the order cap")
+
+    for builder in ("cyclic_table", "dihedral_group", "dicyclic_table", "direct_product"):
+        monkeypatch.setattr(families, builder, must_not_build)
+    too_big = [
+        FamilySpec("cyclic", (101,)),
+        FamilySpec("dihedral", (51,)),
+        FamilySpec("dicyclic", (26,)),
+        product_spec(FamilySpec("cyclic", (10,)), FamilySpec("cyclic", (11,))),
+        FamilySpec("extraspecial", (10**18 + 9, 1)),  # no trial division up to 10**9
+    ]
+    for spec in too_big:
+        with pytest.raises(OrderCapExceeded):
+            make(spec)
+    capsys.readouterr()
+    assert main(["pr", "--family", "cyclic", "--params", "101"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "101" in err and "100" in err

@@ -45,6 +45,7 @@ from commprob.groups import (
     normal_core,
     orbit_count_on_normal,
     parse_cycles,
+    prime_power,
     quotient,
     subgroup_from_generators,
     subgroup_from_members,
@@ -453,3 +454,15 @@ def test_sampled_validation_label():
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     t = build_from_cayley(table)
     assert t.validation == "sampled"
+
+
+def test_prime_power_against_trial_factorization():
+    for n in range(-2, 2000):
+        factors = [d for d in range(2, n + 1) if n % d == 0 and all(d % q for q in range(2, d))]
+        expected = None
+        if len(factors) == 1:
+            p, k, m = factors[0], 0, n
+            while m % p == 0:
+                m, k = m // p, k + 1
+            expected = (p, k)
+        assert prime_power(n) == expected, n
