@@ -538,12 +538,16 @@ def cache_store(cache_dir, key: str, report: PrReport) -> None:
 
 
 def cache_load(cache_dir, key: str) -> PrReport | None:
-    """None on a cold cache; corrupted or mismatched entries are dropped
-    with a logged warning so the caller recomputes."""
+    """None on a cold cache; unreadable, corrupted or mismatched entries
+    are dropped with a logged warning so the caller recomputes."""
     target = Path(cache_dir) / f"{key}.cpr"
     if not target.exists():
         return None
-    blob = target.read_bytes()
+    try:
+        blob = target.read_bytes()
+    except OSError as exc:
+        log.warning("cache entry %s could not be read (%s); recomputing", target, exc)
+        return None
     if not blob.startswith(_CACHE_MAGIC):
         log.warning("cache entry %s has a bad header; recomputing", target.name)
         return None

@@ -82,7 +82,10 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise CommprobError(f"interval must look like lo..hi, got {text!r}")
-    return parse_rational(lo), parse_rational(hi)
+    lo, hi = parse_rational(lo), parse_rational(hi)
+    if not lo < hi:
+        raise CommprobError("need lo < hi")
+    return lo, hi
 
 
 def _filter_from_args(args) -> EntryFilter | None:
@@ -99,8 +102,9 @@ def _filter_from_args(args) -> EntryFilter | None:
     return None if flt.describe() == "all" else flt
 
 
-def _add_survey_flags(p: argparse.ArgumentParser) -> None:
-    """The flags ``survey`` and ``scan`` share."""
+def _add_survey_flags(p: argparse.ArgumentParser):
+    """The flags ``survey`` and ``scan`` share; returns the group that
+    holds ``--json``, so that ``survey`` can add ``--csv`` to it."""
     p.add_argument("--catalog", help="line-delimited JSON catalog")
     p.add_argument("--corpus", type=int, metavar="MAXORDER",
                    help="use the built-in family corpus up to this order")
@@ -120,7 +124,9 @@ def _add_survey_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: surveys run serially")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--json", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr = sub.add_parser("pr", help="commuting probability of one group")
     _add_source_flags(p_pr)
     p_pr.add_argument("--bounds", action="store_true", help="include the bound suite")
-    p_pr.add_argument("--json", action="store_true")
-    p_pr.add_argument("--csv", action="store_true")
+    pr_out = p_pr.add_mutually_exclusive_group()
+    pr_out.add_argument("--json", action="store_true")
+    pr_out.add_argument("--csv", action="store_true")
 
     p_dec = sub.add_parser("decompose", help="unit-fraction decomposition over an abelian normal subgroup")
     _add_source_flags(p_dec)
@@ -169,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sgap.add_argument("--json", action="store_true")
 
     p_sur = sub.add_parser("survey", help="batch Pr over a catalog or built-in corpus")
-    _add_survey_flags(p_sur)
+    _add_survey_flags(p_sur).add_argument("--csv", action="store_true")
     p_sur.add_argument("--scan", metavar="LO..HI", help="scan an interval instead of listing rows")
-    p_sur.add_argument("--csv", action="store_true")
 
     p_scan = sub.add_parser("scan", help="interval scan over a catalog or corpus (survey --scan)")
     _add_survey_flags(p_scan)
@@ -285,7 +291,11 @@ def _entries_from_args(parser, args):
 
 
 def _cmd_survey(parser, args) -> int:
-    """``survey``, and ``scan``, whose ``--interval`` is ``survey --scan``."""
+    """``survey``, and ``scan``, whose ``--interval`` is ``survey --scan``.
+
+    The interval is checked before anything is built or surveyed."""
+    if args.scan:
+        lo, hi = _parse_interval(args.scan)
     entries, universe = _entries_from_args(parser, args)
     flt = _filter_from_args(args)
     report = survey(
@@ -296,7 +306,6 @@ def _cmd_survey(parser, args) -> int:
         universe=universe,
     )
     if args.scan:
-        lo, hi = _parse_interval(args.scan)
         finding = scan_interval(
             report,
             lo,

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
     _DTYPE,
+    _cosets,
     ORDER_CAP,
     GroupTable,
     Permutation,
@@ -186,16 +187,8 @@ def central_product(
     prod = direct_product(a, b)
     glue = int(za) * b.order + int(b.inv[zb])
     N = subgroup_from_generators(prod, [glue])
-    quot = quotient(prod, N)
-    members = np.asarray(N.members, dtype=_DTYPE)
-    coset_of = np.full(prod.order, -1, dtype=_DTYPE)
-    reps = 0
-    for x in range(prod.order):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[prod.op[members, x]] = reps
-        reps += 1
-    return quot, int(coset_of[int(za) * b.order + 0])
+    coset_of, _ = _cosets(prod, N.members)
+    return quotient(prod, N), int(coset_of[int(za) * b.order])
 
 
 # ---------------------------------------------------------------------------

@@ -246,19 +246,6 @@ def format_cycles(perm: Permutation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _first_bad_latin(op: np.ndarray, axis: int) -> tuple[int, int] | None:
-    n = op.shape[0]
-    view = op if axis == 0 else op.T
-    for i in range(n):
-        seen = np.zeros(n, dtype=bool)
-        for j in range(n):
-            v = view[i, j]
-            if seen[v]:
-                return (i, j) if axis == 0 else (j, i)
-            seen[v] = True
-    return None
-
-
 def _check_associativity(op: np.ndarray, full_cutoff: int, samples: int) -> str:
     n = op.shape[0]
     if n <= full_cutoff:
@@ -328,12 +315,18 @@ def build_from_cayley(
         relabel[0], relabel[e] = e, 0
         op = relabel[op[np.ix_(relabel, relabel)]]
 
-    cell = _first_bad_latin(op, axis=0)
-    if cell is not None:
-        raise NotLatinSquare(f"row {cell[0]} repeats a value at column {cell[1]}", cell=cell)
-    cell = _first_bad_latin(op, axis=1)
-    if cell is not None:
-        raise NotLatinSquare(f"column {cell[1]} repeats a value at row {cell[0]}", cell=cell)
+    # a row (column) is a permutation iff it sorts to 0..n-1; only the first
+    # bad one is searched for its first repeated cell
+    for axis, view in ((0, op), (1, op.T)):
+        bad = np.flatnonzero((np.sort(view, axis=1) != idx).any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            firsts = np.zeros(n, dtype=bool)
+            firsts[np.unique(view[i], return_index=True)[1]] = True
+            j = int(np.argmin(firsts))
+            if axis == 0:
+                raise NotLatinSquare(f"row {i} repeats a value at column {j}", cell=(i, j))
+            raise NotLatinSquare(f"column {i} repeats a value at row {j}", cell=(j, i))
 
     validation = _check_associativity(op, assoc_full_cutoff, assoc_samples)
 
@@ -344,31 +337,6 @@ def build_from_cayley(
             f"one-sided inverse at element {x} is not two-sided", cell=(int(inv[x]), x)
         )
     return GroupTable(order=n, op=op, inv=inv, name=name, validation=validation)
-
-
-def _table_from_elements(elems: list[tuple[int, ...]], degree: int) -> np.ndarray:
-    """Cayley table for a closed list of permutations (as image tuples)."""
-    n = len(elems)
-    arr = np.array(elems, dtype=np.int64)
-    op = np.empty((n, n), dtype=_DTYPE)
-    if degree <= 15:
-        # mixed-radix key fits in int64 for degree <= 15
-        radix = (degree ** np.arange(degree, dtype=np.int64))[::-1]
-        keys = arr @ radix
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        for i in range(n):
-            composed = arr[:, arr[i]]  # (e_i * e_j)(p) = e_j[e_i[p]]
-            where = np.searchsorted(sorted_keys, composed @ radix)
-            op[i, :] = order[where]
-    else:
-        index = {t: k for k, t in enumerate(elems)}
-        for i in range(n):
-            ei = elems[i]
-            for j in range(n):
-                ej = elems[j]
-                op[i, j] = index[tuple(ej[p] for p in ei)]
-    return op
 
 
 def build_from_permutations(
@@ -382,6 +350,10 @@ def build_from_permutations(
 
     Elements are numbered by breadth-first discovery with the generator
     order fixed, so identical input always yields identical numbering.
+    The closure records ``right[k][g]``, the index of e_k * g, and the
+    (k, g) that first reached each element e_j = e_k * g. Then
+    x * e_j = (x * e_k) * g, so column j of the table is one gather of
+    column k through generator g's right-multiplication map.
     """
     gens = list(generators)
     for g in gens:
@@ -390,23 +362,36 @@ def build_from_permutations(
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    head = 0
+    right: list[list[int]] = []
+    parent: list[tuple[int, int]] = [(0, 0)]  # the identity's entry is never read
     gen_images = [g.images for g in gens]
+    head = 0
     while head < len(elems):
         cur = elems[head]
         head += 1
-        for gim in gen_images:
+        row = []
+        for gi, gim in enumerate(gen_images):
             nxt = tuple(gim[p] for p in cur)
-            if nxt not in index:
+            j = index.get(nxt)
+            if j is None:
                 if len(elems) >= order_cap:
                     raise OrderCapExceeded(
                         f"closure passed the cap of {order_cap} elements"
                     )
-                index[nxt] = len(elems)
+                j = index[nxt] = len(elems)
                 elems.append(nxt)
-    op = _table_from_elements(elems, degree)
+                parent.append((head - 1, gi))
+            row.append(j)
+        right.append(row)
+    n = len(elems)
+    by_gen = np.array(right, dtype=_DTYPE).reshape(n, len(gens)).T.copy()
+    op = np.empty((n, n), dtype=_DTYPE)
+    op[:, 0] = np.arange(n, dtype=_DTYPE)
+    for j in range(1, n):
+        k, g = parent[j]
+        op[:, j] = by_gen[g][op[:, k]]
     inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
-    return GroupTable(order=len(elems), op=op, inv=inv, name=name)
+    return GroupTable(order=n, op=op, inv=inv, name=name)
 
 
 def direct_product(a: GroupTable, b: GroupTable, *, order_cap: int = ORDER_CAP) -> GroupTable:
@@ -500,12 +485,37 @@ def subgroup_table(G: GroupTable, sub: Subgroup | Sequence[int]) -> GroupTable:
     )
 
 
+def _conjugates(G: GroupTable, xs) -> np.ndarray:
+    """Column i holds g^-1 xs[i] g for every g: the whole class of xs[i]."""
+    xs = np.asarray(xs, dtype=_DTYPE)
+    return G.op[G.op.take(xs, axis=1)[G.inv], np.arange(G.order, dtype=_DTYPE)[:, None]]
+
+
+def _commutators(G: GroupTable, rows, cols) -> np.ndarray:
+    """The matrix of [x, y] for x in rows, y in cols."""
+    rows = np.asarray(rows, dtype=_DTYPE)
+    cols = np.asarray(cols, dtype=_DTYPE)
+    return G.op[G.op[G.op[np.ix_(G.inv[rows], G.inv[cols])], rows[:, None]], cols[None, :]]
+
+
+def _cosets(G: GroupTable, members) -> tuple[np.ndarray, np.ndarray]:
+    """Right cosets Hx of the member set H, numbered by their smallest
+    element: ``coset_of[x]`` is the number of Hx, ``reps[c]`` the smallest
+    element of coset c (so the coset of the identity is 0)."""
+    members = np.asarray(members, dtype=_DTYPE)
+    coset_of = np.full(G.order, -1, dtype=_DTYPE)
+    reps: list[int] = []
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            coset_of[G.op[members, x]] = len(reps)
+            reps.append(x)
+    return coset_of, np.asarray(reps, dtype=_DTYPE)
+
+
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
     """Orbit partition under conjugation x -> g^-1 x g."""
     n = G.order
-    # conj[g, x] = (g^-1 x) g ; column x is then the whole class of x
-    left = G.op[G.inv, :]
-    conj = G.op[left, np.arange(n, dtype=_DTYPE)[:, None]]
+    conj = _conjugates(G, np.arange(n, dtype=_DTYPE))
     class_of = np.full(n, -1, dtype=_DTYPE)
     classes: list[tuple[int, ...]] = []
     for x in range(n):
@@ -531,18 +541,10 @@ def center(G: GroupTable) -> Subgroup:
     return Subgroup(G, tuple(int(v) for v in np.flatnonzero(good)))
 
 
-def _commutator_values(G: GroupTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """All [x, y] for x in rows, y in cols (as a flat unique array)."""
-    t1 = G.op[np.ix_(G.inv[rows], G.inv[cols])]
-    t2 = G.op[t1, rows[:, None]]
-    t3 = G.op[t2, cols[None, :]]
-    return np.unique(t3)
-
-
 def derived_subgroup(G: GroupTable) -> Subgroup:
     """Subgroup generated by all commutators [x, y]."""
     allv = np.arange(G.order, dtype=_DTYPE)
-    comms = _commutator_values(G, allv, allv)
+    comms = np.unique(_commutators(G, allv, allv))
     return Subgroup(G, tuple(int(v) for v in _closure(G.op, comms)))
 
 
@@ -552,9 +554,7 @@ def is_normal(G: GroupTable, H: Subgroup | Sequence[int]) -> bool:
     )
     mask = np.zeros(G.order, dtype=bool)
     mask[members] = True
-    half = G.op[np.ix_(G.inv, members)]
-    conj = G.op[half, np.arange(G.order, dtype=_DTYPE)[:, None]]
-    return bool(mask[conj].all())
+    return bool(mask[_conjugates(G, members)].all())
 
 
 def normal_subgroups(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> list[Subgroup]:
@@ -628,18 +628,9 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     """
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    n = G.order
-    members = np.asarray(N.members, dtype=_DTYPE)
-    coset_of = np.full(n, -1, dtype=_DTYPE)
-    reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[G.op[members, x]] = len(reps)
-        reps.append(x)
-    reps_arr = np.asarray(reps, dtype=_DTYPE)
-    q_op = coset_of[G.op[np.ix_(reps_arr, reps_arr)]]
-    q_inv = coset_of[G.inv[reps_arr]]
+    coset_of, reps = _cosets(G, N.members)
+    q_op = coset_of[G.op[np.ix_(reps, reps)]]
+    q_inv = coset_of[G.inv[reps]]
     return GroupTable(
         order=len(reps), op=q_op, inv=q_inv, name=f"{G.name or 'G'}/N{N.order}"
     )
@@ -648,35 +639,20 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
 def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     """Intersection of all conjugates of H: the largest normal subgroup
     of G inside H."""
-    n = G.order
     members = np.asarray(H.members, dtype=_DTYPE)
-    keep = np.zeros(n, dtype=bool)
-    keep[members] = True
-    for g in range(n):
-        conj = G.op[G.op[G.inv[g], members], g]
-        mask = np.zeros(n, dtype=bool)
-        mask[conj] = True
-        keep &= mask
-        if keep.sum() == 1:
-            break
-    return Subgroup(G, tuple(int(v) for v in np.flatnonzero(keep)))
+    mask = np.zeros(G.order, dtype=bool)
+    mask[members] = True
+    # x is in every conjugate of H exactly when its whole class lies in H
+    keep = mask[_conjugates(G, members)].all(axis=0)
+    return Subgroup(G, tuple(int(v) for v in members[keep]))
 
 
 def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
     """Number of conjugation orbits of G on a normal subgroup N."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    n = G.order
-    allg = np.arange(n, dtype=_DTYPE)
-    seen: set[int] = set()
-    count = 0
-    for m in N.members:
-        if m in seen:
-            continue
-        orbit = np.unique(G.op[G.op[G.inv, m], allg])
-        seen.update(int(v) for v in orbit)
-        count += 1
-    return count
+    # each orbit is named by its smallest element
+    return int(np.unique(_conjugates(G, N.members).min(axis=0)).size)
 
 
 def is_nilpotent(G: GroupTable) -> bool:
@@ -684,7 +660,7 @@ def is_nilpotent(G: GroupTable) -> bool:
     allv = np.arange(G.order, dtype=_DTYPE)
     gamma = allv
     while True:
-        comms = _commutator_values(G, allv, gamma)
+        comms = np.unique(_commutators(G, allv, gamma))
         nxt = _closure(G.op, comms)
         if nxt.size == 1:
             return True
@@ -736,20 +712,13 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
     n = G.order
     squares = G.op[np.arange(n, dtype=_DTYPE), np.arange(n, dtype=_DTYPE)]
     allv = np.arange(n, dtype=_DTYPE)
-    comms = _commutator_values(G, allv, allv)
+    comms = _commutators(G, allv, allv).reshape(-1)
     M = _closure(G.op, np.unique(np.concatenate([squares, comms])))
     if M.size == n:
         return []
     V = quotient(G, Subgroup(G, tuple(int(v) for v in M)))
     # coordinates of each coset over F_2
-    members_M = np.asarray(M, dtype=_DTYPE)
-    coset_of = np.full(n, -1, dtype=_DTYPE)
-    reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[G.op[members_M, x]] = len(reps)
-        reps.append(x)
+    coset_of, _ = _cosets(G, M)
     m = V.order
     coords = np.full(m, -1, dtype=np.int64)
     coords[0] = 0

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import PreconditionFailed
 from .groups import (
     _DTYPE,
+    _commutators,
+    _cosets,
     SUBGROUP_CUTOFF,
     GroupTable,
     Subgroup,
@@ -113,15 +115,6 @@ class FormulaTrace:
     special_s: int | None = None
 
 
-def _commutators_with(G: GroupTable, x: int) -> np.ndarray:
-    """[g, x] for all g, as a vector over g."""
-    n = G.order
-    allv = np.arange(n, dtype=_DTYPE)
-    t1 = G.op[G.inv, G.inv[x]]
-    t2 = G.op[t1, allv]
-    return G.op[t2, x]
-
-
 def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
     """Closed-form Pr for a p-group whose derived subgroup is central.
 
@@ -143,6 +136,8 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
     D = subgroup_table(G, derived)  # abelian
     d_members = np.asarray(derived.members, dtype=_DTYPE)
     n = G.order
+    allv = np.arange(n, dtype=_DTYPE)
+    comms = _commutators(G, allv, allv)  # comms[g, x] = [g, x]
 
     terms = []
     total = Fraction(0)
@@ -152,7 +147,7 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
         k_in_g = d_members[np.asarray(K.members, dtype=_DTYPE)]
         mask = np.zeros(n, dtype=bool)
         mask[k_in_g] = True
-        inside = sum(1 for x in range(n) if mask[_commutators_with(G, x)].all())
+        inside = int(mask[comms].all(axis=0).sum())
         if n % inside:
             raise PreconditionFailed("commutator-containment count does not divide |G|")
         q = n // inside
@@ -590,13 +585,7 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
 
     n_total = G.order
     h_order = H.order
-    coset_of = np.full(n_total, -1, dtype=_DTYPE)
-    reps: list[int] = []
-    for x in range(n_total):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[G.op[members, x]] = len(reps)
-        reps.append(x)
+    coset_of, reps = _cosets(G, members)
     n = len(reps)
 
     h_mask = np.zeros(n_total, dtype=bool)
@@ -604,10 +593,9 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
 
     images: list[np.ndarray] = []
     image_sets: list[frozenset[int]] = []
-    for x in reps:
-        t1 = G.op[G.inv[members], G.inv[x]]
-        t2 = G.op[t1, members]
-        img = np.unique(G.op[t2, x])
+    h_comms = _commutators(G, members, reps)
+    for i in range(n):
+        img = np.unique(h_comms[:, i])
         if not h_mask[img].all():
             raise PreconditionFailed("commutator image escapes the subgroup")
         images.append(img)
@@ -623,12 +611,9 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
     s_sizes = [[0] * n for _ in range(n)]
     x_list: list[int] = []
     total_pairs = 0
-    op = G.op
-    inv = G.inv
+    rep_comms = _commutators(G, reps, reps)
     for i in range(n):
-        xi = reps[i]
         for j in range(n):
-            xj = reps[j]
             n_ij = len(image_sets[i] & image_sets[j])
             inter_sizes[i][j] = n_ij
             count = int(grid[i, j])
@@ -639,8 +624,7 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
                     f"{count} not in {{0, {expected}}}"
                 )
             # emptiness of H_j  intersect  [x_j,x_i]*H_i must match count == 0
-            h_ij = int(op[op[op[inv[xj], inv[xi]], xj], xi])
-            shift_row = op[h_ij]
+            shift_row = G.op[rep_comms[j, i]]
             hat_nonempty = any(
                 int(shift_row[u]) in image_sets[j] for u in images[i]
             )
@@ -663,7 +647,7 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
 
     return EgyptianForm(
         index=n,
-        coset_reps=tuple(reps),
+        coset_reps=tuple(reps.tolist()),
         image_sizes=image_sizes,
         intersection_sizes=tuple(tuple(r) for r in inter_sizes),
         s_sizes=tuple(tuple(r) for r in s_sizes),

@@ -22,6 +22,7 @@ from commprob.catalog import (
     survey,
 )
 from commprob.errors import ParseError, ValidationError
+from commprob.families import corpus
 from commprob.probability import PrReport, erdos_turan_holds
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -305,6 +306,18 @@ def test_failed_cache_store_keeps_rows(tmp_path, corpus16, caplog):
     assert report.rows and all(r.status == "ok" for r in report.rows)
     assert report.to_json() == survey(entries, universe="x").to_json()
     assert any(str(not_a_dir) in rec.getMessage() for rec in caplog.records)
+
+
+def test_unreadable_cache_entry_is_recomputed(tmp_path, caplog):
+    entries = corpus_entries(corpus(4))
+    c3 = next(e for e in entries if e.name == "C3")
+    blocker = tmp_path / f"{cache_key(c3.build())}.cpr"
+    blocker.mkdir()  # a directory where the entry should be
+    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
+        report = survey(entries, cache_dir=tmp_path, universe="x")
+    assert report.rows and all(r.status == "ok" for r in report.rows)
+    assert report.to_json() == survey(entries, universe="x").to_json()
+    assert any(str(blocker) in rec.getMessage() for rec in caplog.records)
 
 
 def test_resolve_cache_dir(monkeypatch, tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import commprob.cli
 import commprob.egyptian
 from commprob.cli import main
 
@@ -185,6 +186,30 @@ def test_domain_errors_exit_1(capsys):
         capsys, "scan", "--corpus", "8", "--interval", "1/2..1", "--filter-p-group", "4"
     )
     assert code == 1 and out == "" and "error:" in err and "prime" in err
+
+
+def test_bad_interval_fails_before_surveying(capsys, monkeypatch):
+    def no_survey(*args, **kwargs):
+        raise AssertionError("surveyed before the interval was checked")
+
+    monkeypatch.setattr(commprob.cli, "survey", no_survey)
+    for argv in (
+        ["scan", "--corpus", "128", "--interval", "1/2..1/0"],
+        ["survey", "--corpus", "4", "--scan", "1/2..1/3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "error:" in err
+
+
+def test_json_and_csv_are_exclusive(capsys):
+    for argv in (
+        ["pr", "--family", "dihedral", "--params", "4", "--json", "--csv"],
+        ["survey", "--corpus", "4", "--json", "--csv"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 def test_search_budget_exit_1(capsys, monkeypatch):

@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commprob.errors import (
     NoIdentity,
@@ -88,6 +90,21 @@ def naive_subgroup_sets(table) -> set[frozenset]:
     return out
 
 
+def naive_permutation_table(degree: int, gens) -> list[list[int]]:
+    """Breadth-first closure in generator order; every product is found by
+    composing image tuples (apply the row element first)."""
+    elems = [tuple(range(degree))]
+    seen = set(elems)
+    for cur in elems:  # the list grows while it is walked
+        for g in gens:
+            nxt = tuple(g.images[p] for p in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                elems.append(nxt)
+    index = {e: i for i, e in enumerate(elems)}
+    return [[index[tuple(b[p] for p in a)] for b in elems] for a in elems]
+
+
 def as_lists(G: GroupTable) -> list[list[int]]:
     return [[int(v) for v in row] for row in G.op]
 
@@ -119,8 +136,13 @@ def test_validation_errors_name_cells():
     with pytest.raises(NoIdentity):
         build_from_cayley([[1, 1], [1, 1]])
     # identity exists but a row repeats a value
-    with pytest.raises(NotLatinSquare):
+    with pytest.raises(NotLatinSquare) as e:
         build_from_cayley([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    assert e.value.cell == (1, 1)
+    # every row is Latin, but column 1 repeats a value
+    with pytest.raises(NotLatinSquare) as e:
+        build_from_cayley([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert e.value.cell == (2, 1)
     # Latin square with identity that is not associative
     with pytest.raises(NotAssociative) as e:
         build_from_cayley(
@@ -158,8 +180,8 @@ def test_permutation_closure_determinism():
 
 
 def test_table_paths_agree_across_degrees():
-    # padding with fixed points pushes the build over the vectorized-keys
-    # degree limit without changing the group; the tables must match
+    # padding with fixed points raises the degree without changing the
+    # group or its breadth-first numbering; the tables must match
     small = build_from_permutations(
         3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]
     )
@@ -167,6 +189,32 @@ def test_table_paths_agree_across_degrees():
         18, [parse_cycles("(1 2)", 18), parse_cycles("(1 2 3)", 18)]
     )
     assert np.array_equal(small.op, padded.op)
+
+
+def _cycle(degree: int) -> str:
+    return "(" + " ".join(str(i) for i in range(1, degree + 1)) + ")"
+
+
+def _reflection(degree: int) -> str:
+    return "".join(f"({i + 1} {degree - i + 1})" for i in range(1, (degree + 1) // 2))
+
+
+@pytest.mark.parametrize(
+    "degree, cycles",
+    [
+        (4, ["(1 2)", "(1 2 3 4)"]),  # S4
+        (5, ["(1 2 3)", "(1 2 4)", "(1 2 5)"]),  # A5
+        (10, [_cycle(10), _reflection(10)]),  # D10 on 10 points
+        (20, [_cycle(20), _reflection(20)]),  # D20 on 20 points
+        (18, ["(1 2)", "(1 2 3)"]),  # S3 padded with fixed points
+    ],
+)
+def test_permutation_table_matches_naive_closure(degree, cycles):
+    gens = [parse_cycles(c, degree) for c in cycles]
+    G = build_from_permutations(degree, gens)
+    expected = naive_permutation_table(degree, gens)
+    assert as_lists(G) == expected
+    assert [int(v) for v in G.inv] == [row.index(0) for row in expected]
 
 
 def test_order_cap():
@@ -466,3 +514,24 @@ def test_prime_power_against_trial_factorization():
                 m, k = m // p, k + 1
             expected = (p, k)
         assert prime_power(n) == expected, n
+
+
+@st.composite
+def permutation_groups(draw):
+    degree = draw(st.integers(2, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, [tuple(g) for g in gens]
+
+
+@settings(max_examples=36, deadline=None, derandomize=True)
+@given(permutation_groups())
+def test_structure_matches_sympy(group):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    degree, images = group
+    S = combinatorics.PermutationGroup([combinatorics.Permutation(list(im)) for im in images])
+    assume(S.order() <= 720)
+    G = build_from_permutations(degree, [Permutation(degree, im) for im in images])
+    assert G.order == S.order()
+    assert conjugacy_classes(G).count == len(S.conjugacy_classes())
+    assert center(G).order == S.center().order()
+    assert derived_subgroup(G).order == S.derived_subgroup().order()
