@@ -61,6 +61,7 @@ from .probability import (
     pr_by_classes,
     pr_central_pgroup_formula,
     pr_direct,
+    pr_report,
     verify_special_forms,
 )
 from .families import FamilySpec, corpus, make

@@ -31,11 +31,10 @@ from .groups import (
     GroupTable,
     build_from_cayley,
     build_from_permutations,
-    conjugacy_classes,
     parse_cycles,
     prime_power,
 )
-from .probability import PrReport
+from .probability import PrReport, pr_report
 from .rationals import format_rational, parse_rational
 
 log = logging.getLogger("commprob.catalog")
@@ -313,32 +312,11 @@ def _compute_row(entry: CatalogEntry, cache_dir) -> tuple[SurveyRow, bool]:
     except (ValidationError, CommprobError) as exc:
         return SurveyRow(name=entry.name, status="failed", tags=entry.tags,
                          error=str(exc)), False
-    hit = False
-    report = None
     key = cache_key(table)
-    if cache_dir is not None:
-        report = cache_load(cache_dir, key)
-        if report is not None and report.order == table.order:
-            report = PrReport(
-                name=entry.name,
-                order=report.order,
-                k=report.k,
-                pr=report.pr,
-                center_index=report.center_index,
-            )
-            hit = True
-        else:
-            report = None
-    if report is None:
-        k = conjugacy_classes(table).count
-        center_size = int((table.op == table.op.T).all(axis=1).sum())
-        report = PrReport(
-            name=entry.name,
-            order=table.order,
-            k=k,
-            pr=Fraction(k, table.order),
-            center_index=table.order // center_size,
-        )
+    report = cache_load(cache_dir, key) if cache_dir is not None else None
+    hit = report is not None and report.order == table.order
+    if not hit:
+        report = pr_report(table)
         if cache_dir is not None:
             cache_store(cache_dir, key, report)
     row = _row_from_report(report, entry)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .egyptian import candidate_gap, descend, is_limit_point, max_below, solve_exact
@@ -27,10 +26,10 @@ from .groups import (
     subgroup_from_generators,
 )
 from .probability import (
-    BoundContext,
     abelian_decomposition,
     check_bounds,
     pr_by_classes,
+    pr_report,
 )
 from .rationals import format_rational, parse_rational
 from .catalog import (
@@ -187,22 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pr(parser, args) -> int:
     table = _group_from_args(parser, args)
-    if args.bounds or args.json or args.csv:
-        ctx = BoundContext() if args.bounds else BoundContext(skip_fitting=True)
-        report = check_bounds(table, ctx)
-        if not args.bounds:
-            report = replace(report, bounds=())
-        if args.json:
-            print(json.dumps(report.to_json_dict(), indent=2))
-        elif args.csv:
-            sys.stdout.write(report.to_csv())
-        else:
-            print(format_rational(report.pr))
-            for b in report.bounds:
-                status = "skipped" if b.skipped else ("holds" if b.holds else "FAILS")
-                print(f"{b.bound}: {status}" + (f" ({b.note})" if b.note else ""))
-    else:
+    if not (args.bounds or args.json or args.csv):
         print(format_rational(pr_by_classes(table)))
+        return 0
+    report = check_bounds(table) if args.bounds else pr_report(table)
+    if args.json:
+        print(json.dumps(report.to_json_dict(), indent=2))
+    elif args.csv:
+        sys.stdout.write(report.to_csv())
+    else:
+        print(format_rational(report.pr))
+        for b in report.bounds:
+            status = "skipped" if b.skipped else ("holds" if b.holds else "FAILS")
+            print(f"{b.bound}: {status}" + (f" ({b.note})" if b.note else ""))
     return 0
 
 

@@ -246,9 +246,9 @@ def format_cycles(perm: Permutation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_associativity(op: np.ndarray, full_cutoff: int, samples: int) -> str:
+def _check_associativity(op: np.ndarray) -> str:
     n = op.shape[0]
-    if n <= full_cutoff:
+    if n <= ASSOC_FULL_CUTOFF:
         chunk = max(1, (2**22) // max(n * n, 1))
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
@@ -262,9 +262,9 @@ def _check_associativity(op: np.ndarray, full_cutoff: int, samples: int) -> str:
                 )
         return "full"
     rng = np.random.default_rng(0)
-    xs = rng.integers(0, n, size=samples)
-    ys = rng.integers(0, n, size=samples)
-    zs = rng.integers(0, n, size=samples)
+    xs = rng.integers(0, n, size=ASSOC_SAMPLES)
+    ys = rng.integers(0, n, size=ASSOC_SAMPLES)
+    zs = rng.integers(0, n, size=ASSOC_SAMPLES)
     left = op[op[xs, ys], zs]
     right = op[xs, op[ys, zs]]
     if not np.array_equal(left, right):
@@ -276,22 +276,19 @@ def _check_associativity(op: np.ndarray, full_cutoff: int, samples: int) -> str:
     return "sampled"
 
 
-def build_from_cayley(
-    table: Sequence[Sequence[int]],
-    *,
-    name: str = "",
-    assoc_full_cutoff: int = ASSOC_FULL_CUTOFF,
-    assoc_samples: int = ASSOC_SAMPLES,
-) -> GroupTable:
+def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> GroupTable:
     """Validate a square multiplication table and wrap it as a group.
 
     The identity is relabeled to index 0 if necessary. Raises
     ``NotClosed`` / ``NoIdentity`` / ``NotLatinSquare`` / ``NotAssociative``,
-    each naming the first violating cell.
+    each naming the first violating cell. Entries must be integers:
+    floats and booleans raise ``NotClosed`` instead of being truncated.
     """
-    op = np.asarray(table, dtype=np.int64)
+    op = np.asarray(table)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
         raise NotClosed(f"table must be square and nonempty, got shape {op.shape}")
+    if op.dtype.kind not in "iu":
+        raise NotClosed(f"table entries must be integers, got {op.dtype}")
     n = op.shape[0]
 
     bad = (op < 0) | (op >= n)
@@ -328,7 +325,7 @@ def build_from_cayley(
                 raise NotLatinSquare(f"row {i} repeats a value at column {j}", cell=(i, j))
             raise NotLatinSquare(f"column {i} repeats a value at row {j}", cell=(j, i))
 
-    validation = _check_associativity(op, assoc_full_cutoff, assoc_samples)
+    validation = _check_associativity(op)
 
     inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
     if not (op[inv, idx] == 0).all():
@@ -434,10 +431,6 @@ def element_orders(G: GroupTable) -> list[int]:
     return orders
 
 
-def exponent(G: GroupTable) -> int:
-    return math.lcm(*element_orders(G))
-
-
 def is_abelian(G: GroupTable) -> bool:
     return bool(np.array_equal(G.op, G.op.T))
 
@@ -462,7 +455,11 @@ def subgroup_from_members(G: GroupTable, members: Iterable[int]) -> Subgroup:
 
 
 def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgroup:
-    return Subgroup(G, tuple(int(m) for m in _closure(G.op, generators)))
+    gens = [int(g) for g in generators]
+    bad = next((g for g in gens if not 0 <= g < G.order), None)
+    if bad is not None:
+        raise ValueError(f"element index {bad} outside [0, {G.order})")
+    return Subgroup(G, tuple(int(m) for m in _closure(G.op, gens)))
 
 
 def whole_group(G: GroupTable) -> Subgroup:
@@ -707,19 +704,16 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
     """All subgroups of index 2 (necessarily normal).
 
     They are exactly the preimages of hyperplanes in G/M where M is
-    generated by all squares and commutators.
+    generated by all squares. G/M has exponent 2, so it is abelian and M
+    already holds every commutator.
     """
     n = G.order
-    squares = G.op[np.arange(n, dtype=_DTYPE), np.arange(n, dtype=_DTYPE)]
-    allv = np.arange(n, dtype=_DTYPE)
-    comms = _commutators(G, allv, allv).reshape(-1)
-    M = _closure(G.op, np.unique(np.concatenate([squares, comms])))
+    M = _closure(G.op, np.diagonal(G.op))
     if M.size == n:
         return []
-    V = quotient(G, Subgroup(G, tuple(int(v) for v in M)))
     # coordinates of each coset over F_2
-    coset_of, _ = _cosets(G, M)
-    m = V.order
+    coset_of, reps = _cosets(G, M)
+    m = len(reps)
     coords = np.full(m, -1, dtype=np.int64)
     coords[0] = 0
     basis: list[int] = []
@@ -730,7 +724,7 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
         basis.append(v)
         bit = 1 << (len(basis) - 1)
         for w, cw in list(span.items()):
-            u = int(V.op[w, v])
+            u = int(coset_of[G.op[reps[w], reps[v]]])
             span[u] = cw | bit
             coords[u] = cw | bit
     out = []

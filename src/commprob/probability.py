@@ -10,7 +10,7 @@ no comparison is ever made in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -68,9 +68,8 @@ def pr_of_members(G: GroupTable, members) -> Fraction:
 # ---------------------------------------------------------------------------
 # tiny-group fingerprints
 #
-# The targets below are determined up to isomorphism by (order,
-# abelianness, element-order multiset); no general isomorphism test is
-# needed at these sizes.
+# The targets below (cyclic groups and C_2^r) are recognised from element
+# orders alone; no general isomorphism test is needed.
 # ---------------------------------------------------------------------------
 
 
@@ -79,15 +78,13 @@ def _is_cyclic(T: GroupTable) -> bool:
 
 
 def _elementary_abelian_two_rank(T: GroupTable) -> int | None:
-    """Rank r if T is isomorphic to C_2^r, else None."""
-    n = T.order
-    if n & (n - 1):
+    """Rank r if T is isomorphic to C_2^r, else None.
+
+    A group in which every square is the identity is elementary abelian.
+    """
+    if np.diagonal(T.op).any():
         return None
-    if not is_abelian(T):
-        return None
-    if n > 1 and max(element_orders(T)) != 2:
-        return None
-    return n.bit_length() - 1
+    return T.order.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +203,9 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
     actual = pr_direct(G)
     derived = derived_subgroup(G)
     zent = center(G)
-    central_quotient = quotient(G, zent)
 
     if derived.order == 2:
-        rank = _elementary_abelian_two_rank(central_quotient)
+        rank = _elementary_abelian_two_rank(quotient(G, zent))
         if rank is not None and rank % 2 == 0 and rank > 0:
             s = rank // 2
             predicted = Fraction(1, 2) * (1 + Fraction(1, 4**s))
@@ -223,8 +219,9 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
                 )
             )
 
-    # S3 is the only nonabelian group of order 6.
-    if derived.order == 3 and central_quotient.order == 6 and not is_abelian(central_quotient):
+    # G/Z is never cyclic for a nonabelian G, and S3 is the only
+    # noncyclic group of order 6.
+    if derived.order == 3 and G.order // zent.order == 6:
         predicted = Fraction(1, 2)
         out.append(
             SpecialFormMatch(
@@ -327,15 +324,13 @@ class BoundContext:
     ``min_nonlinear_degree`` comes from construction metadata (never
     computed here). ``orbit_subgroup``/``orbit_class_bound`` drive the
     orbit-counting bound; when the class bound is absent it is computed
-    over all subgroups of the quotient if that fits under the cutoff.
+    over all subgroups of the quotient if the quotient's order is at most
+    ``SUBGROUP_CUTOFF``. The Fitting bound is skipped above that order.
     """
 
     min_nonlinear_degree: int | None = None
     orbit_subgroup: Subgroup | None = None
     orbit_class_bound: int | None = None
-    skip_fitting: bool = False
-    fitting_cutoff: int = SUBGROUP_CUTOFF
-    subgroup_cutoff: int = SUBGROUP_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -390,6 +385,22 @@ class PrReport:
         )
 
 
+def pr_report(G: GroupTable) -> PrReport:
+    """Order, class count k, Pr = k/|G| and center index, with no bounds.
+
+    x is central exactly when its class is {x}, so |Z(G)| is the number
+    of singleton classes.
+    """
+    part = conjugacy_classes(G)
+    return PrReport(
+        name=G.name,
+        order=G.order,
+        k=part.count,
+        pr=Fraction(part.count, G.order),
+        center_index=G.order // part.sizes().count(1),
+    )
+
+
 def erdos_turan_holds(order: int, k: int) -> bool:
     """k >= log2(log2(order)), decided exactly in integers.
 
@@ -410,12 +421,9 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
     Inapplicable bounds are reported as skipped entries, never dropped.
     """
     ctx = context or BoundContext()
-    n = G.order
-    k = conjugacy_classes(G).count
-    pr = Fraction(k, n)
-    zent = center(G)
-    center_index = n // zent.order
-    abelian = center_index == 1
+    base = pr_report(G)
+    n, k, pr = base.order, base.k, base.pr
+    abelian = base.center_index == 1
     results: list[BoundResult] = []
 
     if abelian:
@@ -430,7 +438,8 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
             BoundResult("gustafson", "<=", pr, GUSTAFSON_BOUND, pr <= GUSTAFSON_BOUND)
         )
         is_eq = pr == GUSTAFSON_BOUND
-        klein = _elementary_abelian_two_rank(quotient(G, zent)) == 2  # C2 x C2
+        # G/Z is never cyclic for a nonabelian G, so index 4 means C2 x C2
+        klein = base.center_index == 4
         results.append(
             BoundResult(
                 "gustafson-equality",
@@ -462,12 +471,12 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
             )
         )
 
-    if ctx.skip_fitting or n > ctx.fitting_cutoff:
+    if n > SUBGROUP_CUTOFF:
         results.append(
             BoundResult("fitting-index", "<=", None, None, None, "skipped by context")
         )
     else:
-        fit = fitting_subgroup(G, cutoff=ctx.fitting_cutoff)
+        fit = fitting_subgroup(G)
         idx = n // fit.order
         results.append(
             BoundResult(
@@ -504,10 +513,10 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
         orbits = orbit_count_on_normal(G, N)
         quot = quotient(G, N)
         c = ctx.orbit_class_bound
-        if c is None and quot.order <= ctx.subgroup_cutoff:
+        if c is None and quot.order <= SUBGROUP_CUTOFF:
             c = max(
                 conjugacy_classes(subgroup_table(quot, S)).count
-                for S in all_subgroups(quot, cutoff=ctx.subgroup_cutoff)
+                for S in all_subgroups(quot)
             )
         if c is None:
             results.append(
@@ -520,14 +529,7 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
             rhs = Fraction(c * orbits, n)
             results.append(BoundResult("orbit-bound", "<=", pr, rhs, pr <= rhs))
 
-    return PrReport(
-        name=G.name,
-        order=n,
-        k=k,
-        pr=pr,
-        center_index=center_index,
-        bounds=tuple(results),
-    )
+    return replace(base, bounds=tuple(results))
 
 
 # ---------------------------------------------------------------------------

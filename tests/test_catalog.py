@@ -146,6 +146,8 @@ def test_survey_failed_rows_never_abort(tmp_path):
             {"name": "broken", "source": "cayley", "table": [[0, 1], [1, 1]]},
             {"name": "liar", "source": "family", "family": "cyclic", "params": [3],
              "expected_pr": "1/2"},
+            {"name": "floats", "source": "cayley", "table": [[0.7, 1.2], [1.9, 0.1]]},
+            {"name": "bools", "source": "cayley", "table": [[True, False], [False, True]]},
         ],
     )
     report = survey(ingest(path))
@@ -153,6 +155,8 @@ def test_survey_failed_rows_never_abort(tmp_path):
     assert by_name["ok"].status == "ok"
     assert by_name["broken"].status == "failed" and "NotLatinSquare" in by_name["broken"].error
     assert by_name["liar"].status == "failed" and "expected pr" in by_name["liar"].error
+    for name in ("floats", "bools"):
+        assert by_name[name].status == "failed" and "must be integers" in by_name[name].error
     assert "FAILED" in report.to_csv()
 
 

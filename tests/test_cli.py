@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 import commprob.cli
 import commprob.egyptian
+import commprob.probability
 from commprob.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -155,6 +157,23 @@ def test_scan_reports_its_filter(capsys):
     assert data["universe"].endswith("filter: p-group:7")
 
 
+def test_pr_report_needs_no_structure(capsys, monkeypatch):
+    """--json/--csv without --bounds report order, k, Pr and center index
+    from the classes alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("structure computed for a bare report")
+
+    monkeypatch.setattr(commprob.probability, "derived_subgroup", refuse)
+    monkeypatch.setattr(commprob.probability, "quotient", refuse)
+    code, out, _ = run(capsys, "pr", "--family", "symmetric", "--params", "4", "--json")
+    assert code == 0 and out == (
+        '{\n  "name": "S4",\n  "order": 24,\n  "k": 5,\n  "pr": "5/24",\n'
+        '  "center_index": 24,\n  "bounds": []\n}\n'
+    )
+    code, out, _ = run(capsys, "pr", "--family", "symmetric", "--params", "4", "--csv")
+    assert code == 0 and out == "name,order,k,pr,center_index\nS4,24,5,5/24,24\n"
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["pr"])  # no source
@@ -168,7 +187,7 @@ def test_usage_errors_exit_2(capsys):
     assert e.value.code == 2
 
 
-def test_domain_errors_exit_1(capsys):
+def test_domain_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "pr", "--family", "nosuch", "--params", "3")
     assert code == 1 and out == "" and "error:" in err
     code, _, err = run(
@@ -186,6 +205,17 @@ def test_domain_errors_exit_1(capsys):
         capsys, "scan", "--corpus", "8", "--interval", "1/2..1", "--filter-p-group", "4"
     )
     assert code == 1 and out == "" and "error:" in err and "prime" in err
+    for index in ("999", "-1"):
+        code, out, err = run(
+            capsys, "decompose", "--family", "symmetric", "--params", "3",
+            "--subgroup", index,
+        )
+        assert code == 1 and out == "" and f"element index {index} outside" in err
+    for table in ([[0.7, 1.2], [1.9, 0.1]], [[True, False], [False, True]]):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run(capsys, "pr", "--cayley", str(path))
+        assert code == 1 and out == "" and "must be integers" in err
 
 
 def test_bad_interval_fails_before_surveying(capsys, monkeypatch):
@@ -236,3 +266,71 @@ def test_stdout_determinism(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# Outputs pinned byte for byte; a change here changes what users and caches see.
+_S5_BOUNDS = {
+    "name": "S5", "order": 120, "k": 7, "pr": "7/120", "center_index": 120,
+    "bounds": [
+        {"bound": "gustafson", "relation": "<=", "lhs": "7/120", "rhs": "5/8",
+         "holds": True, "note": ""},
+        {"bound": "gustafson-equality", "relation": "iff", "lhs": None, "rhs": None,
+         "holds": True,
+         "note": "equality at 5/8 holds exactly when the central quotient is the "
+                 "Klein four-group"},
+        {"bound": "erdos-turan", "relation": "<=", "lhs": "120", "rhs": None,
+         "holds": True,
+         "note": "class count k vs log2(log2(order)), checked as order <= 2^(2^k)"},
+        {"bound": "fitting-index", "relation": "<=", "lhs": "49/14400", "rhs": "1/120",
+         "holds": True, "note": "squared to keep the comparison rational"},
+        {"bound": "derived-bound", "relation": "<=", "lhs": "7/120", "rhs": "21/80",
+         "holds": True, "note": ""},
+        {"bound": "min-degree-lower", "relation": "<", "lhs": None, "rhs": None,
+         "holds": None, "note": "no degree metadata"},
+        {"bound": "min-degree-upper", "relation": "<=", "lhs": None, "rhs": None,
+         "holds": None, "note": "no degree metadata"},
+        {"bound": "orbit-bound", "relation": "<=", "lhs": None, "rhs": None,
+         "holds": None, "note": "no subgroup supplied"},
+    ],
+}
+
+_S4_DECOMPOSITION = {
+    "index": 6,
+    "coset_reps": [0, 1, 2, 3, 4, 6],
+    "image_sizes": [1, 2, 2, 4, 4, 2],
+    "intersection_sizes": [[1, 1, 1, 1, 1, 1], [1, 2, 1, 2, 2, 1], [1, 1, 2, 2, 2, 1],
+                           [1, 2, 2, 4, 4, 2], [1, 2, 2, 4, 4, 2], [1, 1, 1, 2, 2, 2]],
+    "s_sizes": [[16, 8, 8, 4, 4, 8], [8, 8, 0, 0, 0, 0], [8, 0, 8, 0, 0, 0],
+                [4, 0, 0, 4, 4, 0], [4, 0, 0, 4, 4, 0], [8, 0, 0, 0, 0, 8]],
+    "x_list": [1, 2, 2, 4, 4, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 2, 2],
+    "pr": "5/24",
+}
+
+_D4_BOUNDS_CSV = (
+    "name,order,k,pr,center_index,gustafson,gustafson-equality,erdos-turan,"
+    "fitting-index,derived-bound,min-degree-lower,min-degree-upper,orbit-bound\n"
+    "D4,8,5,5/8,4,holds,holds,holds,holds,holds,skipped,skipped,skipped\n"
+)
+
+_SHA256 = {
+    ("survey", "--corpus", "64", "--json"):
+        "f53cde71e4c642d7bd81f79da10246d7a04831966b4dda0e4d94d69595559b4b",
+    ("scan", "--corpus", "64", "--interval", "7/16..1/2", "--json"):
+        "db92aa3178f833ac7fb497b0b2439e0ccc72b9cc400714c8633aa67f335fe908",
+}
+
+
+def test_golden_outputs(capsys, monkeypatch):
+    monkeypatch.delenv("COMMPROB_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, "pr", "--family", "symmetric", "--params", "5",
+                       "--bounds", "--json")
+    assert code == 0 and out == json.dumps(_S5_BOUNDS, indent=2) + "\n"
+    code, out, _ = run(capsys, "pr", "--family", "dihedral", "--params", "4",
+                       "--bounds", "--csv")
+    assert code == 0 and out == _D4_BOUNDS_CSV
+    code, out, _ = run(capsys, "decompose", "--family", "symmetric", "--params", "4",
+                       "--json")
+    assert code == 0 and out == json.dumps(_S4_DECOMPOSITION, indent=2) + "\n"
+    for argv, digest in _SHA256.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv

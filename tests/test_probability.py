@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import commprob.probability
 from commprob.errors import PreconditionFailed
 from commprob.families import FamilySpec, make
 from commprob.groups import (
@@ -29,6 +30,7 @@ from commprob.probability import (
     pr_central_pgroup_formula,
     pr_direct,
     pr_of_members,
+    pr_report,
     verify_special_forms,
 )
 
@@ -254,9 +256,9 @@ def test_bounds_fitting_skipped_above_cutoff():
 
 
 def test_bounds_skips_marked(named):
-    rep = check_bounds(named["c12"], BoundContext(skip_fitting=True))
+    rep = check_bounds(named["c12"])
     by = {b.bound: b for b in rep.bounds}
-    assert by["gustafson"].skipped and by["fitting-index"].skipped
+    assert by["gustafson"].skipped
     assert by["orbit-bound"].skipped
     names = [b.bound for b in rep.bounds]
     assert names == [
@@ -269,6 +271,27 @@ def test_bounds_skips_marked(named):
         "min-degree-upper",
         "orbit-bound",
     ]
+
+
+def test_pr_report_center_index(corpus64):
+    for table, _ in corpus64:
+        rep = pr_report(table)
+        assert rep.center_index == table.order // center(table).order
+        assert rep.pr == pr_by_classes(table) and rep.bounds == ()
+
+
+def test_bounds_build_no_quotient(corpus64, monkeypatch):
+    """Without an orbit subgroup the suite reads every shape it needs
+    (the Klein central quotient included) from orders alone."""
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("check_bounds built a quotient table")
+
+    monkeypatch.setattr(commprob.probability, "quotient", no_quotient)
+    nonabelian = [t for t, _ in corpus64 if pr_report(t).center_index > 1]
+    assert nonabelian
+    for table in nonabelian:
+        by = {b.bound: b for b in check_bounds(table).bounds}
+        assert by["gustafson-equality"].holds
 
 
 def test_bound_entries_internally_consistent(corpus16, named):
