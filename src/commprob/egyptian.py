@@ -37,6 +37,9 @@ from .rationals import format_rational
 # Nodes one gap search may visit: over 1000 times the 7 725 that the
 # costliest probe of the tests and the benchmark, max_below(4, 4/11), needs.
 # A search that uses it all fails after 13-20 s on a two-core x86 host.
+# It also bounds the denominators one solve may try: nearly 200 times the
+# 40 779 of the costliest benchmark solve, 4 terms summing to 2/11; the
+# 20.4 M of solve_exact(5, 1/5) pass it after about 1.5 s on that host.
 SEARCH_BUDGET = 8_000_000
 
 
@@ -123,49 +126,64 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
 
     Empty when unsolvable (q <= 0 or q > n). Output is sorted
     lexicographically on the non-increasing term tuples.
+
+    Cost warning: the number of denominators tried grows quickly with n
+    and as q shrinks (``solve_exact(5, 1/5)`` finds 118 995 solutions).
+    A solve that would try more than ``SEARCH_BUDGET`` denominators
+    raises ``SearchBudgetExceeded`` before it tries them.
     """
     if n < 1:
         raise ValueError("term count must be >= 1")
     q = Fraction(q)
     found: list[tuple[int, ...]] = []
+    tried = 0
+
+    def spend(count: int) -> None:
+        nonlocal tried
+        tried += count
+        if tried > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(
+                f"{n}-term solve of {format_rational(q)} passed its budget of "
+                f"{SEARCH_BUDGET} denominators"
+            )
+
+    def solve(k: int, rem: Fraction, lo: int, prefix: tuple[int, ...]) -> None:
+        if k == 1:
+            spend(1)
+            if rem.numerator == 1 and rem.denominator >= lo:
+                found.append(prefix + (rem.denominator,))
+            return
+        if rem <= 0:
+            return
+        if k == 2:
+            # same bounded loop, in plain integers: 1/x + 1/y = a/b with
+            # x <= y forces b/a < x <= 2b/a and y = bx/(ax - b)
+            a, b = rem.numerator, rem.denominator
+            xs = range(max(lo, b // a + 1), 2 * b // a + 1)
+            spend(len(xs))
+            for x in xs:
+                t = a * x - b
+                num = b * x
+                if num % t == 0:
+                    y = num // t
+                    if y >= x:
+                        found.append(prefix + (x, y))
+            return
+        # the largest remaining fraction 1/d satisfies rem/k <= 1/d <= rem
+        ds = range(
+            max(lo, -(-rem.denominator // rem.numerator)),
+            (k * rem.denominator) // rem.numerator + 1,
+        )
+        spend(len(ds))
+        for d in ds:
+            solve(k - 1, rem - Fraction(1, d), d, prefix + (d,))
+
     if q > 0:
-        _solve_rec(n, q, 1, (), found)
+        solve(n, q, 1, ())
     return [
         UnitFractionMultiset(t)
         for t in sorted(tuple(reversed(asc)) for asc in found)
     ]
-
-
-def _solve_rec(
-    k: int,
-    rem: Fraction,
-    lo: int,
-    prefix: tuple[int, ...],
-    out: list[tuple[int, ...]],
-) -> None:
-    if k == 1:
-        if rem.numerator == 1 and rem.denominator >= lo:
-            out.append(prefix + (rem.denominator,))
-        return
-    if rem <= 0:
-        return
-    if k == 2:
-        # same bounded loop, in plain integers: 1/x + 1/y = a/b with
-        # x <= y forces b/a < x <= 2b/a and y = bx/(ax - b)
-        a, b = rem.numerator, rem.denominator
-        for x in range(max(lo, b // a + 1), 2 * b // a + 1):
-            t = a * x - b
-            num = b * x
-            if num % t == 0:
-                y = num // t
-                if y >= x:
-                    out.append(prefix + (x, y))
-        return
-    # the largest remaining fraction 1/d satisfies rem/k <= 1/d <= rem
-    d_lo = max(lo, -(-rem.denominator // rem.numerator))
-    d_hi = (k * rem.denominator) // rem.numerator
-    for d in range(d_lo, d_hi + 1):
-        _solve_rec(k - 1, rem - Fraction(1, d), d, prefix + (d,), out)
 
 
 # ---------------------------------------------------------------------------

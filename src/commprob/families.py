@@ -116,19 +116,12 @@ def dicyclic_table(m: int) -> GroupTable:
     """
     two_m = 2 * m
     order = 4 * m
-    op = np.empty((order, order), dtype=_DTYPE)
-    for i in range(two_m):
-        for j in (0, 1):
-            a = i + two_m * j
-            for k in range(two_m):
-                for l in (0, 1):
-                    b = k + two_m * l
-                    if j == 0:
-                        op[a, b] = (i + k) % two_m + two_m * l
-                    elif l == 0:
-                        op[a, b] = (i - k) % two_m + two_m
-                    else:
-                        op[a, b] = (i - k + m) % two_m
+    # a^i b^j * a^k b^l = a^(i + (-1)^j k + m j l) b^(j + l mod 2), from
+    # b a^k = a^-k b and b^2 = a^m
+    b_exp, a_exp = np.divmod(np.arange(order, dtype=_DTYPE), two_m)
+    i, j = a_exp[:, None], b_exp[:, None]  # the left factor a^i b^j
+    k, l = a_exp[None, :], b_exp[None, :]  # the right factor a^k b^l
+    op = (i + (1 - 2 * j) * k + m * j * l) % two_m + two_m * (j ^ l)
     inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
     return GroupTable(order=order, op=op, inv=inv, name=f"Dic{m}")
 

@@ -6,6 +6,16 @@ here (centralizers, derived/Fitting subgroups, quotients, cores, subgroup
 enumeration) are the raw material for the exact commuting-probability
 computations in :mod:`commprob.probability`.
 
+Conjugation structure is computed from a small generating set S (greedy,
+``GroupTable.generators``; r = |S| <= log2 n) rather than from all n^2
+pairs, by the orbit method (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005). Each generator gives one conjugation
+map x -> s^-1 x s, a single gather over the table. Conjugacy classes are
+the orbits of these r maps, the center is the centralizer of S, the
+derived subgroup is the normal closure of the commutators [s, t] with s, t
+in S, and a subset closed under conjugation by every s is normal. Memory
+stays O(r n) beyond the table itself.
+
 Conventions fixed once for the whole library:
 
 * commutator  ``[x, y] = x^-1 y^-1 x y``
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,6 +111,23 @@ class GroupTable:
         """Row-major bytes of the identity-first table (cache/hash key)."""
         return np.ascontiguousarray(self.op, dtype=np.int32).tobytes()
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, picked greedily: the smallest element outside
+        the subgroup generated so far is added until that subgroup is G.
+
+        Each pick at least doubles the subgroup, so there are at most
+        log2(n) generators; the trivial group has none.
+        """
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        gens: list[int] = []
+        while not mask.all():
+            s = int(np.argmin(mask))
+            _extend(self.op, mask, gens, s)
+            gens.append(s)
+        return tuple(gens)
+
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
@@ -119,11 +147,14 @@ class Subgroup:
                 f"subgroup size {len(mem)} does not divide group order {n}"
             )
         arr = np.asarray(mem, dtype=_DTYPE)
-        prods = self.parent.op[np.ix_(arr, arr)]
         mask = np.zeros(n, dtype=bool)
         mask[arr] = True
-        if not mask[prods].all():
-            raise ValueError("member set is not closed under the group operation")
+        # all |H|^2 products, a block of about 2^20 at a time so that memory
+        # stays linear in n
+        step = max(1, 2**20 // len(mem))
+        for lo in range(0, len(mem), step):
+            if not mask[self.parent.op[np.ix_(arr[lo:lo + step], arr)]].all():
+                raise ValueError("member set is not closed under the group operation")
 
     @property
     def order(self) -> int:
@@ -440,6 +471,33 @@ def is_abelian(G: GroupTable) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _extend(op: np.ndarray, mask: np.ndarray, gens: Sequence[int], s: int) -> None:
+    """Grow the subgroup H = <gens> marked in ``mask`` to <gens, s>, in place.
+
+    A breadth-first pass of right multiplications: it starts from the
+    coset Hs and multiplies each newly reached element by every generator.
+    A set holding the identity and closed under right multiplication by a
+    generating set is the subgroup. The pass runs in plain Python over the
+    generators' columns, O(|<gens, s>| r) steps; a numpy pass per level
+    costs more on small groups, whose cyclic subgroups take one level per
+    element.
+    """
+    # one list per generator column, not one per row: n small lists would
+    # each count towards the cyclic garbage collector's thresholds
+    right = [op[:, g].tolist() for g in (*gens, s)]
+    seen = mask.tolist()
+    reached = op[mask, s].tolist()  # Hs is disjoint from H
+    for x in reached:
+        seen[x] = True
+    for x in reached:  # also visits what the loop appends
+        for col in right:
+            y = col[x]
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+    mask[reached] = True
+
+
 def _closure(op: np.ndarray, seed: Iterable[int]) -> np.ndarray:
     """Members of the subgroup generated by ``seed`` (always adds identity)."""
     cur = np.unique(np.fromiter(list(seed) + [0], dtype=_DTYPE))
@@ -482,10 +540,55 @@ def subgroup_table(G: GroupTable, sub: Subgroup | Sequence[int]) -> GroupTable:
     )
 
 
-def _conjugates(G: GroupTable, xs) -> np.ndarray:
-    """Column i holds g^-1 xs[i] g for every g: the whole class of xs[i]."""
+def _conjugates(G: GroupTable, xs, by) -> np.ndarray:
+    """Row j, column i holds by[j]^-1 xs[i] by[j]: one conjugation map per
+    conjugator, restricted to xs."""
     xs = np.asarray(xs, dtype=_DTYPE)
-    return G.op[G.op.take(xs, axis=1)[G.inv], np.arange(G.order, dtype=_DTYPE)[:, None]]
+    by = np.asarray(by, dtype=_DTYPE)
+    return G.op[G.op[np.ix_(G.inv[by], xs)], by[:, None]]
+
+
+def _orbit_labels(maps: np.ndarray) -> np.ndarray:
+    """The smallest point of each point's orbit under the permutations of
+    range(m) in the rows of ``maps``.
+
+    Min-label propagation with pointer jumping: every point takes the
+    least label among itself and its images, then the label of its label.
+    Labels only fall and always name a point of the same orbit, and the
+    maps generate a group, so the fixed point is the orbit minimum.
+    """
+    m = maps.shape[1]
+    label = np.arange(m, dtype=_DTYPE)
+    while True:
+        new = np.minimum(label, label[maps].min(axis=0, initial=m))
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _normal_closure(G: GroupTable, seed) -> np.ndarray:
+    """Sorted members of the smallest normal subgroup holding ``seed``.
+
+    N grows by each new element through :func:`_extend`, and then by
+    every conjugate N^s that falls outside it, until N^s lies in N for
+    every generator s of G. Each round at least doubles N.
+    """
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    gens: list[int] = []
+    pending = np.asarray(seed, dtype=_DTYPE)
+    while True:
+        pending = pending[~mask[pending]]
+        while pending.size:
+            s = int(pending[0])
+            _extend(G.op, mask, gens, s)
+            gens.append(s)
+            pending = pending[~mask[pending]]
+        members = np.flatnonzero(mask).astype(_DTYPE)
+        pending = _conjugates(G, members, G.generators).ravel()
+        if mask[pending].all():
+            return members
 
 
 def _commutators(G: GroupTable, rows, cols) -> np.ndarray:
@@ -510,18 +613,19 @@ def _cosets(G: GroupTable, members) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    """Orbit partition under conjugation x -> g^-1 x g."""
-    n = G.order
-    conj = _conjugates(G, np.arange(n, dtype=_DTYPE))
-    class_of = np.full(n, -1, dtype=_DTYPE)
-    classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(conj[:, x])
-        class_of[orbit] = len(classes)
-        classes.append(tuple(int(v) for v in orbit))
-    return ClassPartition(classes=tuple(classes), class_of=class_of)
+    """Orbit partition under conjugation x -> g^-1 x g.
+
+    The orbits are taken under the conjugation maps of the generators
+    only. Classes are numbered by their smallest element and list their
+    members in increasing order.
+    """
+    label = _orbit_labels(_conjugates(G, np.arange(G.order), G.generators))
+    reps = np.flatnonzero(label == np.arange(G.order))  # each orbit's smallest element
+    class_of = np.searchsorted(reps, label).astype(_DTYPE)
+    classes: list[list[int]] = [[] for _ in range(reps.size)]
+    for x, c in enumerate(class_of.tolist()):
+        classes[c].append(x)
+    return ClassPartition(classes=tuple(map(tuple, classes)), class_of=class_of)
 
 
 def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
@@ -534,24 +638,28 @@ def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
 
 
 def center(G: GroupTable) -> Subgroup:
-    good = (G.op == G.op.T).all(axis=1)
-    return Subgroup(G, tuple(int(v) for v in np.flatnonzero(good)))
+    """The elements commuting with every generator."""
+    if not G.generators:
+        return whole_group(G)
+    return centralizer(G, G.generators)
 
 
 def derived_subgroup(G: GroupTable) -> Subgroup:
-    """Subgroup generated by all commutators [x, y]."""
-    allv = np.arange(G.order, dtype=_DTYPE)
-    comms = np.unique(_commutators(G, allv, allv))
-    return Subgroup(G, tuple(int(v) for v in _closure(G.op, comms)))
+    """Subgroup generated by all commutators [x, y]: the normal closure
+    of the commutators [s, t] of the generators s, t."""
+    gens = G.generators
+    members = _normal_closure(G, _commutators(G, gens, gens).ravel())
+    return Subgroup(G, tuple(members.tolist()))
 
 
 def is_normal(G: GroupTable, H: Subgroup | Sequence[int]) -> bool:
+    """Whether H^s lies in H for every generator s of G."""
     members = np.asarray(
         H.members if isinstance(H, Subgroup) else sorted(H), dtype=_DTYPE
     )
     mask = np.zeros(G.order, dtype=bool)
     mask[members] = True
-    return bool(mask[_conjugates(G, members)].all())
+    return bool(mask[_conjugates(G, members, G.generators)].all())
 
 
 def normal_subgroups(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> list[Subgroup]:
@@ -636,20 +744,28 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
 def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     """Intersection of all conjugates of H: the largest normal subgroup
     of G inside H."""
+    # x is in every conjugate of H exactly when its whole class lies in H:
+    # drop every x with some x^s outside the set until nothing is dropped
     members = np.asarray(H.members, dtype=_DTYPE)
     mask = np.zeros(G.order, dtype=bool)
     mask[members] = True
-    # x is in every conjugate of H exactly when its whole class lies in H
-    keep = mask[_conjugates(G, members)].all(axis=0)
-    return Subgroup(G, tuple(int(v) for v in members[keep]))
+    while True:
+        keep = mask[_conjugates(G, members, G.generators)].all(axis=0)
+        if keep.all():
+            return Subgroup(G, tuple(members.tolist()))
+        mask[members[~keep]] = False
+        members = members[keep]
 
 
 def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
     """Number of conjugation orbits of G on a normal subgroup N."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    # each orbit is named by its smallest element
-    return int(np.unique(_conjugates(G, N.members).min(axis=0)).size)
+    # the generators' conjugation maps, as permutations of positions in N
+    pos = np.zeros(G.order, dtype=_DTYPE)
+    pos[list(N.members)] = np.arange(N.order, dtype=_DTYPE)
+    maps = pos[_conjugates(G, N.members, G.generators)]
+    return int(np.unique(_orbit_labels(maps)).size)
 
 
 def is_nilpotent(G: GroupTable) -> bool:

@@ -252,6 +252,16 @@ def test_search_budget_exit_1(capsys, monkeypatch):
     assert "error:" in err and "1/3" in err and "1000" in err
 
 
+def test_solve_budget_exit_1(capsys, monkeypatch):
+    # 4 terms summing to 2/11 try 40 779 denominators
+    monkeypatch.setattr(commprob.egyptian, "SEARCH_BUDGET", 1000)
+    code, out, err = run(capsys, "egyptian", "solve", "--terms", "4", "--target", "2/11")
+    assert code == 1 and out == ""
+    assert "error:" in err and "4-term" in err and "2/11" in err and "1000" in err
+    code, out, _ = run(capsys, "egyptian", "solve", "--terms", "3", "--target", "1")
+    assert code == 0 and out
+
+
 def test_decompose_bad_subgroup_is_domain_error(capsys):
     # a non-normal order-2 subgroup of S3 cannot anchor a decomposition
     code, _, err = run(

@@ -11,6 +11,7 @@ from commprob.families import (
     FamilySpec,
     central_product,
     corpus,
+    dicyclic_table,
     fingerprint,
     heisenberg_table,
     make,
@@ -62,6 +63,25 @@ def test_dicyclic():
     assert dic3.order == 12
     orders = element_orders(q8)
     assert sorted(orders) == [1, 2, 4, 4, 4, 4, 4, 4]  # quaternion signature
+
+
+def test_dicyclic_table_matches_product_rules():
+    # a^i b^j is i + 2m*j; from b a^k = a^-k b and b^2 = a^m:
+    # a^i * a^k b^l = a^(i+k) b^l, a^i b * a^k = a^(i-k) b, a^i b * a^k b = a^(i-k+m)
+    for m in range(1, 9):
+        table = dicyclic_table(m)
+        for x in range(4 * m):
+            i, j = x % (2 * m), x // (2 * m)
+            for y in range(4 * m):
+                k, l = y % (2 * m), y // (2 * m)
+                if j == 0:
+                    want = (i + k) % (2 * m) + 2 * m * l
+                elif l == 0:
+                    want = (i - k) % (2 * m) + 2 * m
+                else:
+                    want = (i - k + m) % (2 * m)
+                assert table.mul(x, y) == want, (m, x, y)
+        assert all(table.mul(x, table.inverse(x)) == 0 for x in range(4 * m))
 
 
 def test_isoclinic_pair_spot_check(named):

@@ -8,11 +8,12 @@ they check.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commprob.errors import (
@@ -23,6 +24,7 @@ from commprob.errors import (
     NotNormal,
     OrderCapExceeded,
 )
+from commprob.families import FamilySpec, make
 from commprob.groups import (
     GroupTable,
     Permutation,
@@ -523,15 +525,55 @@ def permutation_groups(draw):
     return degree, [tuple(g) for g in gens]
 
 
+def scrambled(G: GroupTable, rng: random.Random) -> GroupTable:
+    """The same group as a validated Cayley table with its elements
+    renumbered at random, so that greedy generators meet a numbering
+    that is not breadth-first order."""
+    perm = np.asarray(rng.sample(range(G.order), G.order))
+    table = np.empty_like(G.op)
+    table[np.ix_(perm, perm)] = perm[G.op]
+    return build_from_cayley(table.tolist())
+
+
 @settings(max_examples=36, deadline=None, derandomize=True)
-@given(permutation_groups())
-def test_structure_matches_sympy(group):
+@given(permutation_groups(), st.randoms(use_true_random=False))
+@example(group=(2, [(0, 1)]), rng=random.Random(0))  # trivial: no generators
+@example(group=(6, [(1, 2, 3, 4, 5, 0)]), rng=random.Random(1))  # cyclic: one
+def test_structure_matches_sympy(group, rng):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     degree, images = group
     S = combinatorics.PermutationGroup([combinatorics.Permutation(list(im)) for im in images])
     assume(S.order() <= 720)
     G = build_from_permutations(degree, [Permutation(degree, im) for im in images])
-    assert G.order == S.order()
-    assert conjugacy_classes(G).count == len(S.conjugacy_classes())
-    assert center(G).order == S.center().order()
-    assert derived_subgroup(G).order == S.derived_subgroup().order()
+    for T in (G, scrambled(G, rng)):
+        assert T.order == S.order()
+        assert subgroup_from_generators(T, T.generators).order == T.order
+        assert 2 ** len(T.generators) <= T.order
+        assert conjugacy_classes(T).count == len(S.conjugacy_classes())
+        assert center(T).order == S.center().order()
+        assert derived_subgroup(T).order == S.derived_subgroup().order()
+
+
+def test_generators_of_trivial_and_cyclic_groups():
+    assert build_from_cayley([[0]]).generators == ()
+    for n in range(2, 13):
+        C, _ = make(FamilySpec("cyclic", (n,)))
+        assert C.generators == (1,)
+        assert conjugacy_classes(C).count == center(C).order == n
+        assert derived_subgroup(C).order == 1
+
+
+def test_structure_memory_is_linear():
+    """Classes, center and derived subgroup of S7 stay far below one
+    5040 x 5040 int32 matrix (101 MB): neither the conjugates of every
+    element by every element nor all n^2 commutators are ever formed."""
+    G, _ = make(FamilySpec("symmetric", (7,)))
+    tracemalloc.start()
+    try:
+        assert conjugacy_classes(G).count == 15
+        assert center(G).order == 1
+        assert derived_subgroup(G).order == 2520
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
