@@ -22,6 +22,7 @@ from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
     _DTYPE,
     _cosets,
+    _inverses,
     ORDER_CAP,
     GroupTable,
     Permutation,
@@ -122,8 +123,7 @@ def dicyclic_table(m: int) -> GroupTable:
     i, j = a_exp[:, None], b_exp[:, None]  # the left factor a^i b^j
     k, l = a_exp[None, :], b_exp[None, :]  # the right factor a^k b^l
     op = (i + (1 - 2 * j) * k + m * j * l) % two_m + two_m * (j ^ l)
-    inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
-    return GroupTable(order=order, op=op, inv=inv, name=f"Dic{m}")
+    return GroupTable(order=order, op=op, inv=_inverses(op), name=f"Dic{m}")
 
 
 def heisenberg_table(p: int, s: int) -> GroupTable:
@@ -165,8 +165,7 @@ def heisenberg_table(p: int, s: int) -> GroupTable:
             enc = enc + a_sum[:, :, t] * mult
             mult *= p
         op[lo:hi] = enc.astype(_DTYPE)
-    inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
-    return GroupTable(order=order, op=op, inv=inv, name=f"ES{p}_{s}")
+    return GroupTable(order=order, op=op, inv=_inverses(op), name=f"ES{p}_{s}")
 
 
 def central_product(

@@ -16,6 +16,13 @@ derived subgroup is the normal closure of the commutators [s, t] with s, t
 in S, and a subset closed under conjugation by every s is normal. Memory
 stays O(r n) beyond the table itself.
 
+The same greedy generators validate a Cayley table exactly, at every
+order: associativity by Light's test, (xs)y = x(sy) for each generator s
+only (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
+in O(n^2 log n) time, and inverses are found a block of rows at a time.
+A member set is checked to be a subgroup the same way, on a generating
+set of its own.
+
 Conventions fixed once for the whole library:
 
 * commutator  ``[x, y] = x^-1 y^-1 x y``
@@ -31,7 +38,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +52,6 @@ from .errors import (
     OrderCapExceeded,
 )
 
-# Full O(n^3) associativity validation up to this order; beyond it the
-# table is spot-checked on random triples and flagged "sampled".
-ASSOC_FULL_CUTOFF = 512
-ASSOC_SAMPLES = 1_000_000
-
 # Cap for subgroup enumeration (the most expensive primitive here).
 SUBGROUP_CUTOFF = 192
 
@@ -56,6 +59,10 @@ SUBGROUP_CUTOFF = 192
 ORDER_CAP = 20_000
 
 _DTYPE = np.int32
+
+# Cells per block of a blockwise table sweep: the temporaries of a sweep
+# stay a few MB at any order instead of growing with n^2.
+_BLOCK_CELLS = 1 << 20
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -79,9 +86,10 @@ def prime_power(n: int) -> tuple[int, int] | None:
 class GroupTable:
     """A finite group: ``op[x, y]`` is the product xy, ``inv[x]`` the inverse.
 
-    ``validation`` records how associativity was established: "full",
-    "sampled" (orders above the cutoff) or "constructed" (tables built by
-    our own constructors, associative by construction).
+    ``validation`` records how associativity was established: "full"
+    (a Cayley table checked by Light's test, exact at every order) or
+    "constructed" (tables built by our own constructors, associative by
+    construction).
     """
 
     order: int
@@ -119,14 +127,7 @@ class GroupTable:
         Each pick at least doubles the subgroup, so there are at most
         log2(n) generators; the trivial group has none.
         """
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
-        gens: list[int] = []
-        while not mask.all():
-            s = int(np.argmin(mask))
-            _extend(self.op, mask, gens, s)
-            gens.append(s)
-        return tuple(gens)
+        return tuple(_greedy(self.op))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +147,23 @@ class Subgroup:
             raise ValueError(
                 f"subgroup size {len(mem)} does not divide group order {n}"
             )
+        # H is closed once Hs lies in H for each s of a generating set of H:
+        # pick s greedily outside the subgroup K generated so far, check Hs,
+        # and grow K inside H through the picks' right-multiplication maps,
+        # taken as positions in H. Each pick at least doubles K, so this
+        # reads |H| cells per pick for at most log2|H| + 1 picks.
         arr = np.asarray(mem, dtype=_DTYPE)
-        mask = np.zeros(n, dtype=bool)
-        mask[arr] = True
-        # all |H|^2 products, a block of about 2^20 at a time so that memory
-        # stays linear in n
-        step = max(1, 2**20 // len(mem))
-        for lo in range(0, len(mem), step):
-            if not mask[self.parent.op[np.ix_(arr[lo:lo + step], arr)]].all():
+        position = {m: i for i, m in enumerate(mem)}
+        in_k = [True] + [False] * (len(mem) - 1)
+        right: list[list[int]] = []
+        size = p = 1
+        while size < len(mem):
+            p = in_k.index(False, p)
+            col = [position.get(y, -1) for y in self.parent.op[arr, mem[p]].tolist()]
+            if -1 in col:
                 raise ValueError("member set is not closed under the group operation")
+            right.append(col)
+            size += len(_extend(right, in_k))
 
     @property
     def order(self) -> int:
@@ -277,43 +286,64 @@ def format_cycles(perm: Permutation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_associativity(op: np.ndarray) -> str:
+def _check_associativity(op: np.ndarray) -> None:
+    """Light's associativity test on the greedy generators of ``op``.
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under the
+    product, so the table is associative as soon as they include a
+    generating set (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, 1961, section 1.2). Each greedy pick s is checked as it
+    comes, comparing (xs)y with x(sy) a block of rows at a time. While
+    the checks pass, the picks so far generate a finite cancellative
+    monoid, which is a group, and each new pick at least doubles it: at
+    most floor(log2 n) + 1 picks are checked, O(n^2 log n) time at any
+    order, on groups and non-groups alike. Raises ``NotAssociative`` at
+    the first (x, s, y) with (xs)y != x(sy).
+
+    ``op`` must be a Latin square with identity 0.
+    """
     n = op.shape[0]
-    if n <= ASSOC_FULL_CUTOFF:
-        chunk = max(1, (2**22) // max(n * n, 1))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            left = op[op[lo:hi, :], :]
-            right = op[lo:hi][:, op.reshape(-1)].reshape(hi - lo, n, n)
+    step = max(1, _BLOCK_CELLS // n)
+    for s in _greedy(op):
+        for lo in range(0, n, step):
+            rows = op[lo:lo + step]
+            left = op[rows[:, s]]  # (xs)y
+            right = rows[:, op[s]]  # x(sy)
             if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)[0]
-                x, y, z = int(bad[0]) + lo, int(bad[1]), int(bad[2])
+                x, y = (int(v) for v in np.argwhere(left != right)[0])
+                x += lo
                 raise NotAssociative(
-                    f"(x*y)*z != x*(y*z) at (x,y,z)=({x},{y},{z})", cell=(x, y, z)
+                    f"(x*y)*z != x*(y*z) at (x,y,z)=({x},{s},{y})", cell=(x, s, y)
                 )
-        return "full"
-    rng = np.random.default_rng(0)
-    xs = rng.integers(0, n, size=ASSOC_SAMPLES)
-    ys = rng.integers(0, n, size=ASSOC_SAMPLES)
-    zs = rng.integers(0, n, size=ASSOC_SAMPLES)
-    left = op[op[xs, ys], zs]
-    right = op[xs, op[ys, zs]]
-    if not np.array_equal(left, right):
-        i = int(np.argmax(left != right))
-        raise NotAssociative(
-            f"(x*y)*z != x*(y*z) at (x,y,z)=({xs[i]},{ys[i]},{zs[i]})",
-            cell=(int(xs[i]), int(ys[i]), int(zs[i])),
-        )
-    return "sampled"
+
+
+def _inverses(op: np.ndarray) -> np.ndarray:
+    """``inv[x]`` is the y with xy = 0 (the identity), for a table whose
+    rows are permutations. Rows are searched a block of about 2^20 cells
+    at a time, so no n^2 temporary is formed."""
+    n = op.shape[0]
+    step = max(1, _BLOCK_CELLS // n)
+    inv = np.empty(n, dtype=_DTYPE)
+    for lo in range(0, n, step):
+        inv[lo:lo + step] = np.argmax(op[lo:lo + step] == 0, axis=1)
+    return inv
 
 
 def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> GroupTable:
     """Validate a square multiplication table and wrap it as a group.
 
-    The identity is relabeled to index 0 if necessary. Raises
+    The identity is relabeled to index 0 if necessary (labels 0 and e
+    swap; the cells that later errors name use this numbering). Raises
     ``NotClosed`` / ``NoIdentity`` / ``NotLatinSquare`` / ``NotAssociative``,
     each naming the first violating cell. Entries must be integers:
     floats and booleans raise ``NotClosed`` instead of being truncated.
+
+    Associativity is exact at every order (Light's test, see
+    :func:`_check_associativity`), and every table that passes is
+    ``validation == "full"``. No inverse check follows it: an
+    associative table with identity whose rows are permutations is a
+    monoid in which every element has a right inverse, hence a group, so
+    each one-sided inverse is two-sided.
     """
     op = np.asarray(table)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
@@ -356,15 +386,8 @@ def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> Grou
                 raise NotLatinSquare(f"row {i} repeats a value at column {j}", cell=(i, j))
             raise NotLatinSquare(f"column {i} repeats a value at row {j}", cell=(j, i))
 
-    validation = _check_associativity(op)
-
-    inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
-    if not (op[inv, idx] == 0).all():
-        x = int(np.argmax(op[inv, idx] != 0))
-        raise NotAssociative(
-            f"one-sided inverse at element {x} is not two-sided", cell=(int(inv[x]), x)
-        )
-    return GroupTable(order=n, op=op, inv=inv, name=name, validation=validation)
+    _check_associativity(op)
+    return GroupTable(order=n, op=op, inv=_inverses(op), name=name, validation="full")
 
 
 def build_from_permutations(
@@ -418,8 +441,7 @@ def build_from_permutations(
     for j in range(1, n):
         k, g = parent[j]
         op[:, j] = by_gen[g][op[:, k]]
-    inv = np.argmax(op == 0, axis=1).astype(_DTYPE)
-    return GroupTable(order=n, op=op, inv=inv, name=name)
+    return GroupTable(order=n, op=op, inv=_inverses(op), name=name)
 
 
 def direct_product(a: GroupTable, b: GroupTable, *, order_cap: int = ORDER_CAP) -> GroupTable:
@@ -471,22 +493,23 @@ def is_abelian(G: GroupTable) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _extend(op: np.ndarray, mask: np.ndarray, gens: Sequence[int], s: int) -> None:
-    """Grow the subgroup H = <gens> marked in ``mask`` to <gens, s>, in place.
+def _extend(right: list[list[int]], seen: list[bool]) -> list[int]:
+    """Grow the subgroup H marked in ``seen`` to <H, s>, in place, and
+    return the elements added.
 
-    A breadth-first pass of right multiplications: it starts from the
-    coset Hs and multiplies each newly reached element by every generator.
-    A set holding the identity and closed under right multiplication by a
-    generating set is the subgroup. The pass runs in plain Python over the
-    generators' columns, O(|<gens, s>| r) steps; a numpy pass per level
-    costs more on small groups, whose cyclic subgroups take one level per
-    element.
+    ``right`` holds right-multiplication maps as lists (``right[i][x]`` is
+    x times the i-th generator): those of a generating set of H, then that
+    of s, which lies outside H. A breadth-first pass starts from the coset
+    Hs and multiplies each newly reached element by every generator. A
+    set holding the identity and closed under right multiplication by a
+    generating set is the subgroup. The pass runs in plain Python,
+    O(|<H, s>| r) steps; a numpy pass per level costs more on small
+    groups, whose cyclic subgroups take one level per element. The maps
+    are one list per generator, not one per element: n small lists would
+    each count towards the cyclic garbage collector's thresholds.
     """
-    # one list per generator column, not one per row: n small lists would
-    # each count towards the cyclic garbage collector's thresholds
-    right = [op[:, g].tolist() for g in (*gens, s)]
-    seen = mask.tolist()
-    reached = op[mask, s].tolist()  # Hs is disjoint from H
+    last = right[-1]
+    reached = [last[x] for x in compress(range(len(seen)), seen)]  # Hs is disjoint from H
     for x in reached:
         seen[x] = True
     for x in reached:  # also visits what the loop appends
@@ -495,7 +518,22 @@ def _extend(op: np.ndarray, mask: np.ndarray, gens: Sequence[int], s: int) -> No
             if not seen[y]:
                 seen[y] = True
                 reached.append(y)
-    mask[reached] = True
+    return reached
+
+
+def _greedy(op: np.ndarray) -> Iterator[int]:
+    """Generators of the table ``op``, picked greedily: each is the
+    smallest element outside the set generated so far, yielded after
+    :func:`_extend` has grown that set by it."""
+    n = op.shape[0]
+    seen = [True] + [False] * (n - 1)
+    right: list[list[int]] = []
+    size = s = 1
+    while size < n:
+        s = seen.index(False, s)
+        right.append(op[:, s].tolist())
+        size += len(_extend(right, seen))
+        yield s
 
 
 def _closure(op: np.ndarray, seed: Iterable[int]) -> np.ndarray:
@@ -576,14 +614,14 @@ def _normal_closure(G: GroupTable, seed) -> np.ndarray:
     """
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    gens: list[int] = []
+    seen = mask.tolist()
+    right: list[list[int]] = []
     pending = np.asarray(seed, dtype=_DTYPE)
     while True:
         pending = pending[~mask[pending]]
         while pending.size:
-            s = int(pending[0])
-            _extend(G.op, mask, gens, s)
-            gens.append(s)
+            right.append(G.op[:, int(pending[0])].tolist())
+            mask[_extend(right, seen)] = True
             pending = pending[~mask[pending]]
         members = np.flatnonzero(mask).astype(_DTYPE)
         pending = _conjugates(G, members, G.generators).ravel()

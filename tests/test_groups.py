@@ -376,6 +376,39 @@ def test_subgroup_validation(named):
     assert whole.index == 1
 
 
+def test_subgroup_closure_check(corpus48, subgroups_of):
+    """Every subgroup of every group up to order 32 is accepted; a member
+    set with its largest member swapped for the smallest non-member is
+    accepted exactly when it is closed."""
+    refused = 0
+    for table, _spec in corpus48:
+        if table.order > 32:
+            continue
+        for H in subgroups_of(table):
+            assert Subgroup(table, H.members).members == H.members
+            if H.order in (1, table.order):
+                continue
+            swapped = sorted(set(H.members[:-1]) | {min(set(range(table.order)) - set(H.members))})
+            arr = np.asarray(swapped)
+            closed = bool(np.isin(table.op[np.ix_(arr, arr)], arr).all())
+            if closed:
+                Subgroup(table, swapped)
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="not closed under the group operation"):
+                    Subgroup(table, swapped)
+    assert refused > 1000
+
+
+def test_alternating_subgroup_of_s7():
+    G, _ = make(FamilySpec("symmetric", (7,)))
+    A7 = derived_subgroup(G)
+    assert Subgroup(G, A7.members).order == 2520
+    odd = min(set(range(G.order)) - set(A7.members))
+    with pytest.raises(ValueError, match="not closed under the group operation"):
+        Subgroup(G, sorted(set(A7.members[:-1]) | {odd}))
+
+
 def test_all_subgroups_counts(named):
     c5 = build_from_cayley([[(i + j) % 5 for j in range(5)] for i in range(5)])
     assert len(all_subgroups(c5)) == 2
@@ -499,11 +532,90 @@ def test_constructed_tables_revalidate(corpus16):
         assert np.array_equal(rebuilt.op, table.op)
 
 
-def test_sampled_validation_label():
-    n = 600  # beyond the full-check cutoff
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    t = build_from_cayley(table)
-    assert t.validation == "sampled"
+def relabelled(table: np.ndarray, rng: random.Random) -> np.ndarray:
+    """The same table with its labels renumbered at random."""
+    perm = np.asarray(rng.sample(range(len(table)), len(table)))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def swap_intercalate(table: np.ndarray, rng: random.Random) -> None:
+    """Swap the two values of a random intercalate (rows a, b and columns
+    c, d with table[a, c] = table[b, d] and table[a, d] = table[b, c]),
+    away from row and column 0, in place. The result is still a Latin
+    square with identity 0. Unchanged if there is none."""
+    n = len(table)
+    pairs = list(combinations(range(1, n), 2))
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        column_in_b = np.argsort(table[b])
+        for c in rng.sample(range(1, n), n - 1):
+            d = int(column_in_b[table[a, c]])
+            if d != 0 and table[a, d] == table[b, c]:
+                u, v = int(table[a, c]), int(table[a, d])
+                table[a, c] = table[b, d] = v
+                table[a, d] = table[b, c] = u
+                return
+
+
+def assert_violation(table: np.ndarray, cell) -> None:
+    """``cell`` is in build_from_cayley's numbering, where the input's
+    identity e and label 0 swap; it must be a real (xs)y != x(sy)."""
+    e = int(np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0])
+    x, s, y = (e if v == 0 else 0 if v == e else v for v in cell)
+    assert table[table[x, s], y] != table[x, table[s, y]]
+
+
+def test_large_tables_fully_validated():
+    n = 600
+    cyclic = np.add.outer(np.arange(n), np.arange(n)) % n
+    assert build_from_cayley(cyclic.tolist()).validation == "full"
+    loop = cyclic.copy()
+    half = n // 2  # rows and columns 1 and 1 + n/2 hold an intercalate
+    loop[1, 1] = loop[1 + half, 1 + half] = 2 + half
+    loop[1, 1 + half] = loop[1 + half, 1] = 2
+    loop = relabelled(loop, random.Random(7))
+    with pytest.raises(NotAssociative) as e:
+        build_from_cayley(loop.tolist())
+    assert_violation(loop, e.value.cell)
+
+
+def test_associativity_verdict_matches_brute_force(corpus16):
+    """Random loops of order <= 16 (group tables with 0-3 intercalate
+    swaps, relabelled): the verdict equals an n^3 check, and a refusal
+    names a real violation."""
+    rng = random.Random(20_251)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        table, _spec = rng.choice(corpus16)
+        loop = np.array(table.op)
+        for _swap in range(rng.randint(0, 3)):
+            swap_intercalate(loop, rng)
+        loop = relabelled(loop, rng)
+        associative = bool(np.array_equal(loop[loop], loop[:, loop]))
+        verdicts[associative] += 1
+        if associative:
+            assert build_from_cayley(loop.tolist()).validation == "full"
+        else:
+            with pytest.raises(NotAssociative) as e:
+                build_from_cayley(loop.tolist())
+            assert_violation(loop, e.value.cell)
+    assert min(verdicts.values()) > 400, verdicts
+
+
+def test_cayley_validation_memory_is_linear():
+    """Validating an order-720 table (2 MB as int32) forms no n^3 or
+    sampled-triple temporaries and no n^2 inverse search."""
+    G, _ = make(FamilySpec("symmetric", (6,)))
+    table = relabelled(np.array(G.op), random.Random(3)).tolist()
+    tracemalloc.start()
+    try:
+        assert build_from_cayley(table).validation == "full"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_prime_power_against_trial_factorization():
@@ -529,10 +641,7 @@ def scrambled(G: GroupTable, rng: random.Random) -> GroupTable:
     """The same group as a validated Cayley table with its elements
     renumbered at random, so that greedy generators meet a numbering
     that is not breadth-first order."""
-    perm = np.asarray(rng.sample(range(G.order), G.order))
-    table = np.empty_like(G.op)
-    table[np.ix_(perm, perm)] = perm[G.op]
-    return build_from_cayley(table.tolist())
+    return build_from_cayley(relabelled(G.op, rng).tolist())
 
 
 @settings(max_examples=36, deadline=None, derandomize=True)
