@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
+    _BLOCK_CELLS,
     _DTYPE,
     _cosets,
     _inverses,
@@ -135,36 +136,26 @@ def heisenberg_table(p: int, s: int) -> GroupTable:
     (exponent p for odd p, the order-4-element type for p = 2).
     """
     order = p ** (2 * s + 1)
-    idx = np.arange(order, dtype=np.int64)
-    c = idx % p
-    rest = idx // p
-    b_digits = np.empty((order, s), dtype=np.int64)
-    tmp = rest.copy()
-    for t in range(s):
-        b_digits[:, t] = tmp % p
-        tmp //= p
-    a_digits = np.empty((order, s), dtype=np.int64)
-    for t in range(s):
-        a_digits[:, t] = tmp % p
-        tmp //= p
-
+    # element index = c + sum of digit t times p^t, with the digits of b at
+    # t = 1..s and those of a at t = s+1..2s; digits[t] holds digit t of
+    # every element
+    digits = np.empty((2 * s + 1, order), dtype=_DTYPE)
+    rest = np.arange(order, dtype=_DTYPE)
+    for t in range(2 * s + 1):
+        rest, digits[t] = np.divmod(rest, p)
+    c, b, a = digits[0], digits[1:s + 1], digits[s + 1:]
+    # a block of about 2^20 cells at a time, each digit's term added into
+    # one int32 accumulator
     op = np.empty((order, order), dtype=_DTYPE)
-    chunk = max(1, (1 << 22) // order)
-    for lo in range(0, order, chunk):
-        hi = min(order, lo + chunk)
-        a_sum = (a_digits[lo:hi, None, :] + a_digits[None, :, :]) % p
-        b_sum = (b_digits[lo:hi, None, :] + b_digits[None, :, :]) % p
-        twist = (a_digits[lo:hi, None, :] * b_digits[None, :, :]).sum(axis=2)
-        c_sum = (c[lo:hi, None] + c[None, :] + twist) % p
-        enc = c_sum
-        mult = p
+    step = max(1, _BLOCK_CELLS // order)
+    for lo in range(0, order, step):
+        acc = c[lo:lo + step, None] + c
         for t in range(s):
-            enc = enc + b_sum[:, :, t] * mult
-            mult *= p
-        for t in range(s):
-            enc = enc + a_sum[:, :, t] * mult
-            mult *= p
-        op[lo:hi] = enc.astype(_DTYPE)
+            acc += a[t, lo:lo + step, None] * b[t]
+        acc %= p
+        for t in range(1, 2 * s + 1):
+            acc += (digits[t, lo:lo + step, None] + digits[t]) % p * p**t
+        op[lo:lo + step] = acc
     return GroupTable(order=order, op=op, inv=_inverses(op), name=f"ES{p}_{s}")
 
 

@@ -16,6 +16,11 @@ derived subgroup is the normal closure of the commutators [s, t] with s, t
 in S, and a subset closed under conjugation by every s is normal. Memory
 stays O(r n) beyond the table itself.
 
+Every subgroup is generated by one breadth-first pass over the right
+multiplication maps of its generators, never from all products of pairs.
+F(G) is built from normal closures of single classes, and the lower
+central series from the commutators of its terms with the generators.
+
 The same greedy generators validate a Cayley table exactly, at every
 order: associativity by Light's test, (xs)y = x(sy) for each generator s
 only (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
@@ -536,14 +541,21 @@ def _greedy(op: np.ndarray) -> Iterator[int]:
         yield s
 
 
-def _closure(op: np.ndarray, seed: Iterable[int]) -> np.ndarray:
-    """Members of the subgroup generated by ``seed`` (always adds identity)."""
-    cur = np.unique(np.fromiter(list(seed) + [0], dtype=_DTYPE))
-    while True:
-        prods = np.unique(op[np.ix_(cur, cur)])
-        if prods.size == cur.size:
-            return cur
-        cur = prods
+def _generate(op: np.ndarray, seed, right: list[list[int]], seen: list[bool]) -> None:
+    """Grow the subgroup marked in ``seen`` (generated by the maps in
+    ``right``) in place by each seed element it does not yet hold, in
+    seed order, through :func:`_extend`."""
+    for s in np.asarray(seed, dtype=_DTYPE).ravel().tolist():
+        if not seen[s]:
+            right.append(op[:, s].tolist())
+            _extend(right, seen)
+
+
+def _span(op: np.ndarray, seed) -> np.ndarray:
+    """Sorted members of the subgroup generated by ``seed``."""
+    seen = [True] + [False] * (op.shape[0] - 1)
+    _generate(op, seed, [], seen)
+    return np.flatnonzero(seen).astype(_DTYPE)
 
 
 def subgroup_from_members(G: GroupTable, members: Iterable[int]) -> Subgroup:
@@ -555,11 +567,7 @@ def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgro
     bad = next((g for g in gens if not 0 <= g < G.order), None)
     if bad is not None:
         raise ValueError(f"element index {bad} outside [0, {G.order})")
-    return Subgroup(G, tuple(int(m) for m in _closure(G.op, gens)))
-
-
-def whole_group(G: GroupTable) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
+    return Subgroup(G, tuple(_span(G.op, gens).tolist()))
 
 
 def subgroup_table(G: GroupTable, sub: Subgroup | Sequence[int]) -> GroupTable:
@@ -608,24 +616,20 @@ def _orbit_labels(maps: np.ndarray) -> np.ndarray:
 def _normal_closure(G: GroupTable, seed) -> np.ndarray:
     """Sorted members of the smallest normal subgroup holding ``seed``.
 
-    N grows by each new element through :func:`_extend`, and then by
-    every conjugate N^s that falls outside it, until N^s lies in N for
-    every generator s of G. Each round at least doubles N.
+    N grows by the seed through :func:`_generate`, and then by every
+    conjugate N^s that falls outside it, until N^s lies in N for every
+    generator s of G. Each round at least doubles N.
     """
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
-    seen = mask.tolist()
+    seen = [True] + [False] * (G.order - 1)
     right: list[list[int]] = []
-    pending = np.asarray(seed, dtype=_DTYPE)
+    pending = seed
     while True:
-        pending = pending[~mask[pending]]
-        while pending.size:
-            right.append(G.op[:, int(pending[0])].tolist())
-            mask[_extend(right, seen)] = True
-            pending = pending[~mask[pending]]
+        _generate(G.op, pending, right, seen)
+        mask = np.asarray(seen)
         members = np.flatnonzero(mask).astype(_DTYPE)
         pending = _conjugates(G, members, G.generators).ravel()
-        if mask[pending].all():
+        pending = pending[~mask[pending]]
+        if not pending.size:
             return members
 
 
@@ -677,9 +681,7 @@ def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
 
 def center(G: GroupTable) -> Subgroup:
     """The elements commuting with every generator."""
-    if not G.generators:
-        return whole_group(G)
-    return centralizer(G, G.generators)
+    return centralizer(G, G.generators or (0,))
 
 
 def derived_subgroup(G: GroupTable) -> Subgroup:
@@ -700,25 +702,21 @@ def is_normal(G: GroupTable, H: Subgroup | Sequence[int]) -> bool:
     return bool(mask[_conjugates(G, members, G.generators)].all())
 
 
-def normal_subgroups(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> list[Subgroup]:
-    """All normal subgroups, as class-closed unions reached by joining
-    normal closures of single classes (far smaller search space than
-    filtering the full subgroup list)."""
-    if G.order > cutoff:
-        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {cutoff}")
-    part = conjugacy_classes(G)
-    atoms: dict[bytes, np.ndarray] = {}
-    for cls in part.classes:
-        closed = _closure(G.op, cls)
-        atoms.setdefault(closed.tobytes(), closed)
+def normal_subgroups(G: GroupTable) -> list[Subgroup]:
+    """All normal subgroups (order at most ``SUBGROUP_CUTOFF``), as the
+    class-closed unions reached by joining the subgroups generated by
+    single classes (far smaller search space than all subgroups)."""
+    if G.order > SUBGROUP_CUTOFF:
+        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {SUBGROUP_CUTOFF}")
+    spans = (_span(G.op, cls) for cls in conjugacy_classes(G).classes)
+    atom_list = list({a.tobytes(): a for a in spans}.values())
     trivial = np.asarray([0], dtype=_DTYPE)
     found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}
     work = [trivial]
-    atom_list = list(atoms.values())
     while work:
         base = work.pop()
         for atom in atom_list:
-            joined = _closure(G.op, np.concatenate([base, atom]))
+            joined = _span(G.op, np.concatenate([base, atom]))
             key = joined.tobytes()
             if key not in found:
                 found[key] = joined
@@ -727,16 +725,16 @@ def normal_subgroups(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> list[Su
     return [Subgroup(G, tuple(int(v) for v in m)) for m in subs]
 
 
-def all_subgroups(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> list[Subgroup]:
-    """The complete subgroup list.
+def all_subgroups(G: GroupTable) -> list[Subgroup]:
+    """The complete subgroup list, up to order ``SUBGROUP_CUTOFF``.
 
     Enumeration extends each known subgroup by one coset representative at
     a time; since <H, hx> = <H, x> only one representative per coset is
     tried. Every subgroup is reachable through a chain of single-element
     extensions, so the list is complete (including perfect subgroups).
     """
-    if G.order > cutoff:
-        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {cutoff}")
+    if G.order > SUBGROUP_CUTOFF:
+        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {SUBGROUP_CUTOFF}")
     n = G.order
     op = G.op
     trivial = np.asarray([0], dtype=_DTYPE)
@@ -754,7 +752,7 @@ def all_subgroups(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> list[Subgr
             if covered[x]:
                 continue
             covered[op[H, x]] = True
-            J = _closure(op, np.concatenate([H, [x]]))
+            J = _span(op, np.concatenate([H, [x]]))
             key = J.tobytes()
             if key not in found:
                 found[key] = J
@@ -807,50 +805,51 @@ def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
 
 
 def is_nilpotent(G: GroupTable) -> bool:
-    """Lower central series reaches the trivial subgroup."""
-    allv = np.arange(G.order, dtype=_DTYPE)
-    gamma = allv
-    while True:
-        comms = np.unique(_commutators(G, allv, gamma))
-        nxt = _closure(G.op, comms)
-        if nxt.size == 1:
-            return True
+    """Whether the lower central series G = g_1 > g_2 > ... reaches 1.
+
+    g_(i+1) = [g_i, G] is the normal closure of the |g_i| r commutators
+    [x, s], x in g_i and s a generator of G: modulo that closure each x
+    commutes with every generator, hence with G.
+    """
+    gamma = np.arange(G.order, dtype=_DTYPE)
+    while gamma.size > 1:
+        nxt = _normal_closure(G, _commutators(G, gamma, G.generators).ravel())
         if nxt.size == gamma.size:
             return False
         gamma = nxt
+    return True
 
 
-def fitting_subgroup(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> Subgroup:
-    """Join of all nilpotent normal subgroups."""
-    if is_nilpotent(G):
-        return whole_group(G)
-    nilpotent_members = [
-        np.asarray(N.members, dtype=_DTYPE)
-        for N in normal_subgroups(G, cutoff=cutoff)
-        if is_nilpotent(subgroup_table(G, N))
-    ]
-    joined = _closure(G.op, np.unique(np.concatenate(nilpotent_members)))
-    fit = Subgroup(G, tuple(int(v) for v in joined))
-    # the join of nilpotent normal subgroups is itself nilpotent and normal
-    if not is_normal(G, fit) or not is_nilpotent(subgroup_table(G, fit)):
-        raise AssertionError("Fitting subgroup invariant violated")
-    return fit
+def fitting_subgroup(G: GroupTable) -> Subgroup:
+    """The Fitting subgroup F(G), the largest nilpotent normal subgroup.
+
+    F(G) is generated by the O_p(G), and x lies in O_p(G) exactly when its
+    normal closure <x^G>, which depends only on x's class, is a p-group.
+    A class inside a closure that passed is skipped: a subgroup of a
+    p-group is a p-group. The classes that pass are a normal set, so the
+    subgroup they generate is normal.
+    """
+    passed = np.arange(G.order) == 0
+    for cls in conjugacy_classes(G).classes:
+        if not passed[cls[0]]:
+            closure = _normal_closure(G, [cls[0]])
+            if prime_power(closure.size):
+                passed[closure] = True
+    return Subgroup(G, tuple(_span(G.op, np.flatnonzero(passed)).tolist()))
 
 
-def abelian_normal_subgroups(
-    G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF
-) -> list[Subgroup]:
+def abelian_normal_subgroups(G: GroupTable) -> list[Subgroup]:
     out = []
-    for N in normal_subgroups(G, cutoff=cutoff):
+    for N in normal_subgroups(G):
         block = G.op[np.ix_(N.members, N.members)]
         if np.array_equal(block, block.T):
             out.append(N)
     return out
 
 
-def largest_abelian_normal_subgroup(G: GroupTable, *, cutoff: int = SUBGROUP_CUTOFF) -> Subgroup:
+def largest_abelian_normal_subgroup(G: GroupTable) -> Subgroup:
     """Largest abelian normal subgroup; ties broken by lexicographic members."""
-    cands = abelian_normal_subgroups(G, cutoff=cutoff)
+    cands = abelian_normal_subgroups(G)
     return max(cands, key=lambda s: (s.order, tuple(-m for m in s.members)))
 
 
@@ -862,7 +861,7 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
     already holds every commutator.
     """
     n = G.order
-    M = _closure(G.op, np.diagonal(G.op))
+    M = _span(G.op, np.diagonal(G.op))
     if M.size == n:
         return []
     # coordinates of each coset over F_2

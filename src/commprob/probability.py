@@ -325,7 +325,9 @@ class BoundContext:
     computed here). ``orbit_subgroup``/``orbit_class_bound`` drive the
     orbit-counting bound; when the class bound is absent it is computed
     over all subgroups of the quotient if the quotient's order is at most
-    ``SUBGROUP_CUTOFF``. The Fitting bound is skipped above that order.
+    ``SUBGROUP_CUTOFF``. The Fitting bound is skipped above that order
+    too; F(G) needs no subgroup enumeration, so that skip only bounds
+    the suite's latency on large groups and keeps its output stable.
     """
 
     min_nonlinear_degree: int | None = None

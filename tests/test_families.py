@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,45 @@ def test_extraspecial_matches_central_product():
     direct = heisenberg_table(2, 2)
     assert fingerprint(glued) == fingerprint(direct)
     assert sorted(element_orders(glued)) == sorted(element_orders(direct))
+
+
+def naive_heisenberg(p: int, s: int) -> list[list[int]]:
+    """(a, b, c)(a', b', c') = (a+a', b+b', c+c'+a.b') over tuples, with
+    index c + p*(b digits) + p^(s+1)*(a digits), low digit first."""
+    elems = []
+    for idx in range(p ** (2 * s + 1)):
+        digits = []
+        for _ in range(2 * s + 1):
+            idx, d = divmod(idx, p)
+            digits.append(d)
+        elems.append((tuple(digits[s + 1:]), tuple(digits[1:s + 1]), digits[0]))
+    index = {e: i for i, e in enumerate(elems)}
+    return [
+        [
+            index[(
+                tuple((x + y) % p for x, y in zip(a, a2)),
+                tuple((x + y) % p for x, y in zip(b, b2)),
+                (c + c2 + sum(x * y for x, y in zip(a, b2))) % p,
+            )]
+            for a2, b2, c2 in elems
+        ]
+        for a, b, c in elems
+    ]
+
+
+def test_heisenberg_table_matches_formula_in_bounded_memory():
+    for p, s in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
+        assert heisenberg_table(p, s).op.tolist() == naive_heisenberg(p, s)
+    # order 3125: the int32 table is 39 MB, and the digit arithmetic runs
+    # a block of about 2^20 cells at a time
+    tracemalloc.start()
+    try:
+        table = heisenberg_table(5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.order == 3125
+    assert peak < 64 * 2**20
 
 
 def test_family_param_validation():

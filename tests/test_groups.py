@@ -414,8 +414,9 @@ def test_all_subgroups_counts(named):
     assert len(all_subgroups(c5)) == 2
     assert len(all_subgroups(named["s3"])) == 6
     assert len(all_subgroups(named["d4"])) == 10
+    c193, _ = make(FamilySpec("cyclic", (193,)))  # just above SUBGROUP_CUTOFF
     with pytest.raises(OrderCapExceeded):
-        all_subgroups(named["d4"], cutoff=4)
+        all_subgroups(c193)
 
 
 def test_all_subgroups_against_subset_enumeration(named):
@@ -480,6 +481,38 @@ def test_fitting_subgroup(named):
     f = fitting_subgroup(named["s3"])
     assert f.order == 3
     assert fitting_subgroup(named["a5"]).order == 1
+
+
+def test_fitting_subgroup_above_enumeration_cutoff():
+    for family, params, fit_order in [
+        ("symmetric", (7,), 1),
+        ("alternating", (7,), 1),
+        ("dicyclic", (300,), 600),
+        ("dihedral", (1000,), 1000),
+    ]:
+        G, _ = make(FamilySpec(family, params))
+        fit = fitting_subgroup(G)
+        assert fit.order == fit_order, family
+        assert is_normal(G, fit)
+
+
+def test_closures_memory_is_linear():
+    """Closures on S7 run the breadth-first pass over generator maps and
+    form no |H| x |H| product block (a 5040 x 5040 int32 block is
+    101 MB) and no n x |H| commutator matrix."""
+    G, _ = make(FamilySpec("symmetric", (7,)))
+    for call, expected in [
+        (lambda: subgroup_from_generators(G, G.generators).order, 5040),
+        (lambda: [H.order for H in index_two_subgroups(G)], [2520]),
+        (lambda: is_nilpotent(G), False),
+    ]:
+        tracemalloc.start()
+        try:
+            assert call() == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, expected
 
 
 def test_fitting_contains_all_nilpotent_normals(corpus48, normals_of):
@@ -661,6 +694,7 @@ def test_structure_matches_sympy(group, rng):
         assert conjugacy_classes(T).count == len(S.conjugacy_classes())
         assert center(T).order == S.center().order()
         assert derived_subgroup(T).order == S.derived_subgroup().order()
+        assert is_nilpotent(T) == S.is_nilpotent
 
 
 def test_generators_of_trivial_and_cyclic_groups():
