@@ -80,8 +80,6 @@ from .catalog import (
     ConjectureFinding,
     EntryFilter,
     SurveyReport,
-    cache_load,
-    cache_store,
     ingest,
     scan_interval,
     survey,

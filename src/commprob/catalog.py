@@ -2,28 +2,23 @@
 
 Input catalogs are line-delimited JSON; each entry names a group either
 by an explicit Cayley table, by permutation generators in cycle
-notation, or by a family spec. Surveys compute (order, k, Pr) per entry
-with an optional on-disk cache keyed by the canonical table bytes,
-aggregate the observed value spectrum with witnesses, and scans ask
-whether any observed value lies in a given interval.
+notation, or by a family spec. Surveys build each entry and compute
+(order, k, Pr) from its classes, aggregate the observed value spectrum
+with witnesses, and scans ask whether any observed value lies in a
+given interval.
 
 Surveys run their entries one after another in catalog order, so a
-report is deterministic (timing and cache statistics are excluded from
-the canonical serialization).
+report is deterministic (the elapsed time is excluded from the
+canonical serialization).
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
+import dataclasses
 import json
-import logging
-import os
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import CommprobError, ParseError, ValidationError
 from .families import FamilySpec, make
@@ -34,13 +29,8 @@ from .groups import (
     parse_cycles,
     prime_power,
 )
-from .probability import PrReport, pr_report
+from .probability import pr_report
 from .rationals import format_rational, parse_rational
-
-log = logging.getLogger("commprob.catalog")
-
-CACHE_ENV_VAR = "COMMPROB_CACHE_DIR"
-_CACHE_MAGIC = b"CPRCACHE1\n"
 
 _SOURCES = ("cayley", "permutations", "family")
 
@@ -68,21 +58,14 @@ class CatalogEntry:
             if self.source == "permutations":
                 degree = int(self.payload["degree"])
                 gens = [parse_cycles(s, degree) for s in self.payload["gens"]]
-                table = build_from_permutations(degree, gens, name=self.name)
-                return table
+                return build_from_permutations(degree, gens, name=self.name)
             if self.source == "family":
                 spec = FamilySpec(
                     family=self.payload["family"],
                     params=tuple(int(p) for p in self.payload["params"]),
                 )
                 table, _ = make(spec)
-                return GroupTable(
-                    order=table.order,
-                    op=table.op,
-                    inv=table.inv,
-                    name=self.name,
-                    validation=table.validation,
-                )
+                return dataclasses.replace(table, name=self.name)
             raise ValidationError(f"unknown source {self.source!r}", entry=self.name)
         except ValidationError:
             raise
@@ -260,8 +243,6 @@ class SurveyReport:
     spectrum: tuple[tuple[Fraction, tuple[str, ...]], ...]
     universe: str
     elapsed_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def to_json(self, *, include_stats: bool = False) -> str:
         data = {
@@ -273,11 +254,7 @@ class SurveyReport:
             ],
         }
         if include_stats:
-            data["stats"] = {
-                "elapsed_s": self.elapsed_s,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-            }
+            data["stats"] = {"elapsed_s": self.elapsed_s}
         return json.dumps(data, indent=2)
 
     def to_csv(self) -> str:
@@ -292,8 +269,14 @@ class SurveyReport:
         return "\n".join(lines) + "\n"
 
 
-def _row_from_report(report: PrReport, entry: CatalogEntry) -> SurveyRow:
-    return SurveyRow(
+def _compute_row(entry: CatalogEntry) -> SurveyRow:
+    try:
+        table = entry.build()
+    except (ValidationError, CommprobError) as exc:
+        return SurveyRow(name=entry.name, status="failed", tags=entry.tags,
+                         error=str(exc))
+    report = pr_report(table)
+    row = SurveyRow(
         name=entry.name,
         status="ok",
         order=report.order,
@@ -303,47 +286,22 @@ def _row_from_report(report: PrReport, entry: CatalogEntry) -> SurveyRow:
         is_abelian=report.center_index == 1,
         tags=entry.tags,
     )
-
-
-def _compute_row(entry: CatalogEntry, cache_dir) -> tuple[SurveyRow, bool]:
-    """Returns (row, cache_hit)."""
-    try:
-        table = entry.build()
-    except (ValidationError, CommprobError) as exc:
-        return SurveyRow(name=entry.name, status="failed", tags=entry.tags,
-                         error=str(exc)), False
-    key = cache_key(table)
-    report = cache_load(cache_dir, key) if cache_dir is not None else None
-    hit = report is not None and report.order == table.order
-    if not hit:
-        report = pr_report(table)
-        if cache_dir is not None:
-            cache_store(cache_dir, key, report)
-    row = _row_from_report(report, entry)
     if entry.expected_pr is not None and row.pr != entry.expected_pr:
-        row = SurveyRow(
-            name=entry.name,
+        row = dataclasses.replace(
+            row,
             status="failed",
-            order=row.order,
-            k=row.k,
-            pr=row.pr,
-            center_index=row.center_index,
-            is_abelian=row.is_abelian,
-            tags=entry.tags,
             error=(
                 f"expected pr {format_rational(entry.expected_pr)}, "
                 f"computed {format_rational(row.pr)}"
             ),
         )
-    return row, hit
+    return row
 
 
 def survey(
     entries,
     flt: EntryFilter | None = None,
     *,
-    jobs: int = 1,
-    cache_dir=None,
     universe: str | None = None,
 ) -> SurveyReport:
     """Compute Pr for every entry, one after another; aggregate the
@@ -351,21 +309,15 @@ def survey(
 
     Per-entry errors (and expected-value mismatches) become FAILED rows;
     the batch never aborts. Rows excluded by the filter are dropped from
-    the report, FAILED rows are always kept. ``jobs`` is accepted and
-    ignored: entries run serially, which measured faster than a thread
-    pool.
+    the report, FAILED rows are always kept.
     """
     entries = list(entries)
     start = time.perf_counter()
-    results = [_compute_row(e, cache_dir) for e in entries]
-    hits = sum(1 for _, h in results if h)
-
-    rows: list[SurveyRow] = []
-    for row, _ in results:
-        if row.status != "ok":
-            rows.append(row)
-        elif flt is None or flt.matches(row):
-            rows.append(row)
+    rows = [
+        row
+        for row in map(_compute_row, entries)
+        if row.status != "ok" or flt is None or flt.matches(row)
+    ]
 
     witnesses: dict[Fraction, list[str]] = {}
     for row in rows:
@@ -382,8 +334,6 @@ def survey(
         spectrum=spectrum,
         universe=desc,
         elapsed_s=time.perf_counter() - start,
-        cache_hits=hits,
-        cache_misses=len(entries) - hits,
     )
 
 
@@ -478,59 +428,3 @@ def scan_interval(
         universe=report.universe,
         violations=tuple(sorted(inside_rows)),
     )
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def cache_key(table: GroupTable) -> str:
-    """Hash of the canonical (identity-first) row-major table bytes."""
-    return hashlib.sha256(table.canonical_bytes()).hexdigest()
-
-
-def resolve_cache_dir(flag_value=None):
-    """Cache directory from the flag if given, else the environment."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else None
-
-
-def cache_store(cache_dir, key: str, report: PrReport) -> None:
-    """Write one entry through a temporary file named for this process and
-    thread, so concurrent writers never collide. A failed store is logged
-    as a warning, never raised: the caller keeps its computed row."""
-    target = Path(cache_dir) / f"{key}.cpr"
-    tmp = target.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-    body = json.dumps(report.to_json_dict()).encode("utf-8")
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(_CACHE_MAGIC + body)
-        tmp.replace(target)
-    except OSError as exc:
-        log.warning("cache store to %s failed (%s); result not cached", target, exc)
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-
-
-def cache_load(cache_dir, key: str) -> PrReport | None:
-    """None on a cold cache; unreadable, corrupted or mismatched entries
-    are dropped with a logged warning so the caller recomputes."""
-    target = Path(cache_dir) / f"{key}.cpr"
-    if not target.exists():
-        return None
-    try:
-        blob = target.read_bytes()
-    except OSError as exc:
-        log.warning("cache entry %s could not be read (%s); recomputing", target, exc)
-        return None
-    if not blob.startswith(_CACHE_MAGIC):
-        log.warning("cache entry %s has a bad header; recomputing", target.name)
-        return None
-    try:
-        return PrReport.from_json_dict(json.loads(blob[len(_CACHE_MAGIC):]))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        log.warning("cache entry %s is corrupted (%s); recomputing", target.name, exc)
-        return None

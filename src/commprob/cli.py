@@ -28,7 +28,6 @@ from .groups import (
 from .probability import (
     abelian_decomposition,
     check_bounds,
-    pr_by_classes,
     pr_report,
 )
 from .rationals import format_rational, parse_rational
@@ -36,7 +35,6 @@ from .catalog import (
     EntryFilter,
     entry_from_family,
     ingest,
-    resolve_cache_dir,
     scan_interval,
     survey,
 )
@@ -122,7 +120,8 @@ def _add_survey_flags(p: argparse.ArgumentParser):
     p.add_argument("--filter-tag", default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: surveys run serially")
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None,
+                   help="accepted and ignored: results are not cached")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
     return out
@@ -186,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pr(parser, args) -> int:
     table = _group_from_args(parser, args)
-    if not (args.bounds or args.json or args.csv):
-        print(format_rational(pr_by_classes(table)))
-        return 0
     report = check_bounds(table) if args.bounds else pr_report(table)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -294,13 +290,7 @@ def _cmd_survey(parser, args) -> int:
         lo, hi = _parse_interval(args.scan)
     entries, universe = _entries_from_args(parser, args)
     flt = _filter_from_args(args)
-    report = survey(
-        entries,
-        flt,
-        jobs=args.jobs,
-        cache_dir=resolve_cache_dir(args.cache_dir),
-        universe=universe,
-    )
+    report = survey(entries, flt, universe=universe)
     if args.scan:
         finding = scan_interval(
             report,
@@ -334,10 +324,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](parser, args)
-    except CommprobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CommprobError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

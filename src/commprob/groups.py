@@ -100,7 +100,6 @@ class GroupTable:
     order: int
     op: np.ndarray
     inv: np.ndarray
-    identity: int = 0
     name: str = ""
     validation: str = "constructed"
 
@@ -119,10 +118,6 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name or 'G'}, order={self.order})"
-
-    def canonical_bytes(self) -> bytes:
-        """Row-major bytes of the identity-first table (cache/hash key)."""
-        return np.ascontiguousarray(self.op, dtype=np.int32).tobytes()
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -400,7 +395,6 @@ def build_from_permutations(
     generators: Iterable[Permutation],
     *,
     name: str = "",
-    order_cap: int = ORDER_CAP,
 ) -> GroupTable:
     """Close a generating set of permutations into a full group table.
 
@@ -430,9 +424,9 @@ def build_from_permutations(
             nxt = tuple(gim[p] for p in cur)
             j = index.get(nxt)
             if j is None:
-                if len(elems) >= order_cap:
+                if len(elems) >= ORDER_CAP:
                     raise OrderCapExceeded(
-                        f"closure passed the cap of {order_cap} elements"
+                        f"closure passed the cap of {ORDER_CAP} elements"
                     )
                 j = index[nxt] = len(elems)
                 elems.append(nxt)
@@ -449,11 +443,11 @@ def build_from_permutations(
     return GroupTable(order=n, op=op, inv=_inverses(op), name=name)
 
 
-def direct_product(a: GroupTable, b: GroupTable, *, order_cap: int = ORDER_CAP) -> GroupTable:
+def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Componentwise product on index pairs, packed as ``i = x*|B| + y``."""
     n = a.order * b.order
-    if n > order_cap:
-        raise OrderCapExceeded(f"product order {n} exceeds cap {order_cap}")
+    if n > ORDER_CAP:
+        raise OrderCapExceeded(f"product order {n} exceeds cap {ORDER_CAP}")
     op = (
         a.op[:, None, :, None].astype(_DTYPE) * b.order
         + b.op[None, :, None, :]

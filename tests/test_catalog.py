@@ -1,10 +1,8 @@
-"""Catalog ingestion, surveys, scans, and the on-disk cache."""
+"""Catalog ingestion, surveys and scans."""
 
 from __future__ import annotations
 
 import json
-import logging
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,18 +10,13 @@ import pytest
 
 from commprob.catalog import (
     EntryFilter,
-    cache_key,
-    cache_load,
-    cache_store,
     entry_from_family,
     ingest,
-    resolve_cache_dir,
     scan_interval,
     survey,
 )
 from commprob.errors import ParseError, ValidationError
-from commprob.families import corpus
-from commprob.probability import PrReport, erdos_turan_holds
+from commprob.probability import erdos_turan_holds
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -172,7 +165,7 @@ def test_survey_erdos_turan_invariant(corpus64):
 def test_survey_parallel_determinism(corpus16):
     entries = corpus_entries(corpus16)
     serial = survey(entries, universe="x")
-    parallel = survey(entries, jobs=4, universe="x")
+    parallel = survey(entries, universe="x")
     assert serial.to_json() == parallel.to_json()
     assert serial.to_csv() == parallel.to_csv()
 
@@ -237,107 +230,3 @@ def test_small_center_index_spectrum_snapshot(corpus128):
         Fraction(5, 8),
         Fraction(1),
     }
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path, named):
-    table = named["d4"]
-    key = cache_key(table)
-    report = PrReport(name="D4", order=8, k=5, pr=Fraction(5, 8), center_index=4)
-    assert cache_load(tmp_path, key) is None  # cold
-    cache_store(tmp_path, key, report)
-    assert cache_load(tmp_path, key) == report
-
-
-def test_cache_corruption_recovers(tmp_path, named, caplog):
-    table = named["d4"]
-    key = cache_key(table)
-    cache_store(tmp_path, key, PrReport("D4", 8, 5, Fraction(5, 8), 4))
-    target = tmp_path / f"{key}.cpr"
-    target.write_bytes(target.read_bytes()[:12])  # truncate the body
-    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
-        assert cache_load(tmp_path, key) is None
-    assert any("recomputing" in rec.message for rec in caplog.records)
-    target.write_bytes(b"WRONGMAGIC" + b"{}")
-    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
-        assert cache_load(tmp_path, key) is None
-
-
-def test_survey_uses_cache(tmp_path, corpus16):
-    entries = corpus_entries(corpus16)
-    # identical tables (C2 vs S2, D2 products, ...) share a cache key,
-    # so even the first pass scores some hits
-    distinct = len({cache_key(e.build()) for e in entries})
-    first = survey(entries, cache_dir=tmp_path)
-    assert first.cache_misses == distinct
-    second = survey(entries, cache_dir=tmp_path)
-    assert second.cache_hits == len(entries)
-    assert first.to_json() == second.to_json()
-
-
-def test_concurrent_cache_stores_never_collide(tmp_path, caplog):
-    report = PrReport("D4", 8, 5, Fraction(5, 8), 4)
-    errors = []
-
-    def hammer():
-        try:
-            for _ in range(50):
-                cache_store(tmp_path, "k", report)
-        except Exception as exc:  # pragma: no cover - the failure being tested
-            errors.append(exc)
-
-    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert errors == [] and caplog.records == []
-    assert cache_load(tmp_path, "k") == report
-    assert [p.name for p in tmp_path.iterdir()] == ["k.cpr"]
-
-
-def test_failed_cache_store_keeps_rows(tmp_path, corpus16, caplog):
-    not_a_dir = tmp_path / "cache"
-    not_a_dir.write_text("")
-    entries = corpus_entries(corpus16)
-    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
-        report = survey(entries, cache_dir=not_a_dir, universe="x")
-    assert report.rows and all(r.status == "ok" for r in report.rows)
-    assert report.to_json() == survey(entries, universe="x").to_json()
-    assert any(str(not_a_dir) in rec.getMessage() for rec in caplog.records)
-
-
-def test_unreadable_cache_entry_is_recomputed(tmp_path, caplog):
-    entries = corpus_entries(corpus(4))
-    c3 = next(e for e in entries if e.name == "C3")
-    blocker = tmp_path / f"{cache_key(c3.build())}.cpr"
-    blocker.mkdir()  # a directory where the entry should be
-    with caplog.at_level(logging.WARNING, logger="commprob.catalog"):
-        report = survey(entries, cache_dir=tmp_path, universe="x")
-    assert report.rows and all(r.status == "ok" for r in report.rows)
-    assert report.to_json() == survey(entries, universe="x").to_json()
-    assert any(str(blocker) in rec.getMessage() for rec in caplog.records)
-
-
-def test_resolve_cache_dir(monkeypatch, tmp_path):
-    monkeypatch.delenv("COMMPROB_CACHE_DIR", raising=False)
-    assert resolve_cache_dir(None) is None
-    monkeypatch.setenv("COMMPROB_CACHE_DIR", str(tmp_path / "env"))
-    assert resolve_cache_dir(None) == tmp_path / "env"
-    # the flag wins over the environment
-    assert resolve_cache_dir(str(tmp_path / "flag")) == tmp_path / "flag"
-
-
-def test_cache_key_is_canonical(named):
-    # the key hashes table bytes, so equal tables share cache slots
-    from commprob.families import FamilySpec, make
-
-    a = make(FamilySpec("dihedral", (4,)))[0]
-    b = make(FamilySpec("dihedral", (4,)))[0]
-    assert cache_key(a) == cache_key(b)
-    assert cache_key(a) != cache_key(named["q8"])

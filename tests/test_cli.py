@@ -278,7 +278,33 @@ def test_stdout_determinism(capsys):
     assert first == second
 
 
-# Outputs pinned byte for byte; a change here changes what users and caches see.
+def test_cache_flag_and_variable_are_ignored(capsys, monkeypatch, tmp_path):
+    """Results are never cached: --cache-dir and COMMPROB_CACHE_DIR change
+    no output byte and create nothing."""
+    cache = tmp_path / "cache"
+    for argv in (["survey", "--corpus", "16", "--json"],
+                 ["scan", "--corpus", "16", "--interval", "1/2..1", "--json"]):
+        monkeypatch.delenv("COMMPROB_CACHE_DIR", raising=False)
+        _, plain, _ = run(capsys, *argv)
+        _, flagged, _ = run(capsys, *argv, "--cache-dir", str(cache))
+        monkeypatch.setenv("COMMPROB_CACHE_DIR", str(cache))
+        _, from_env, _ = run(capsys, *argv)
+        assert plain and flagged == plain and from_env == plain, argv
+    assert not cache.exists()
+
+
+def test_ignored_survey_flags_still_parse():
+    """--jobs and --cache-dir stay accepted on survey and scan; the
+    benchmark reads the --jobs default and passes --cache-dir."""
+    parser = commprob.cli.build_parser()
+    assert parser.parse_args(["survey", "--corpus", "1"]).jobs == 1
+    for argv in (["survey", "--corpus", "1"],
+                 ["scan", "--corpus", "1", "--interval", "0..1"]):
+        args = parser.parse_args(argv + ["--cache-dir", "d", "--jobs", "4"])
+        assert args.cache_dir == "d" and args.jobs == 4
+
+
+# Outputs pinned byte for byte; a change here changes what users see.
 _S5_BOUNDS = {
     "name": "S5", "order": 120, "k": 7, "pr": "7/120", "center_index": 120,
     "bounds": [

@@ -220,9 +220,10 @@ def test_permutation_table_matches_naive_closure(degree, cycles):
 
 
 def test_order_cap():
-    gens = [parse_cycles("(1 2 3 4 5 6 7)", 7), parse_cycles("(1 2)", 7)]
+    # S8 has order 40 320; the closure stops once it passes ORDER_CAP
+    gens = [parse_cycles("(1 2 3 4 5 6 7 8)", 8), parse_cycles("(1 2)", 8)]
     with pytest.raises(OrderCapExceeded):
-        build_from_permutations(7, gens, order_cap=100)
+        build_from_permutations(8, gens)
 
 
 def test_cycle_notation_roundtrip():
@@ -264,8 +265,9 @@ def test_direct_product_basics(named):
     same = direct_product(s3, triv)
     assert np.array_equal(same.op, s3.op)
 
-    with pytest.raises(OrderCapExceeded):
-        direct_product(s3, s3, order_cap=30)
+    c150, _ = make(FamilySpec("cyclic", (150,)))
+    with pytest.raises(OrderCapExceeded):  # order 22 500, refused before any build
+        direct_product(c150, c150)
 
 
 def test_quotient(named, normals_of):
