@@ -18,7 +18,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def main():
-    entries = [entry_from_family(spec) for _, spec in corpus(96)]
+    entries = [entry_from_family(spec, table=table) for table, spec in corpus(96)]
     report = survey(entries, universe="family corpus up to order 96")
     print(f"surveyed {len(report.rows)} groups; "
           f"{len(report.spectrum)} distinct Pr values observed")

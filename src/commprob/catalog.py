@@ -2,10 +2,11 @@
 
 Input catalogs are line-delimited JSON; each entry names a group either
 by an explicit Cayley table, by permutation generators in cycle
-notation, or by a family spec. Surveys build each entry and compute
-(order, k, Pr) from its classes, aggregate the observed value spectrum
-with witnesses, and scans ask whether any observed value lies in a
-given interval.
+notation, or by a family spec; entries made from the built-in corpus
+carry the table it built. Surveys build each entry that carries no
+table, compute (order, k, Pr) from its classes, aggregate the observed
+value spectrum with witnesses, and scans ask whether any observed value
+lies in a given interval.
 
 Surveys run their entries one after another in catalog order, so a
 report is deterministic (the elapsed time is excluded from the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CommprobError, ParseError, ValidationError
@@ -42,16 +43,21 @@ _SOURCES = ("cayley", "permutations", "family")
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog line; the table itself is built lazily."""
+    """One catalog line; the table itself is built lazily, unless an
+    already built ``table`` is handed over (the corpus does this)."""
 
     name: str
     source: str
     payload: dict
     expected_pr: Fraction | None = None
     tags: tuple[str, ...] = ()
+    table: GroupTable | None = field(default=None, compare=False, repr=False)
 
     def build(self) -> GroupTable:
-        """Construct and validate the group; wraps failures with the entry name."""
+        """Construct and validate the group, or return the table handed
+        over; wraps failures with the entry name."""
+        if self.table is not None:
+            return self.table
         try:
             if self.source == "cayley":
                 return build_from_cayley(self.payload["table"], name=self.name)
@@ -75,7 +81,11 @@ class CatalogEntry:
             ) from exc
 
 
-def entry_from_family(spec: FamilySpec, tags: tuple[str, ...] = ()) -> CatalogEntry:
+def entry_from_family(
+    spec: FamilySpec, tags: tuple[str, ...] = (), table: GroupTable | None = None
+) -> CatalogEntry:
+    """An entry for a family member; pass the ``table`` ``make`` returned
+    with ``spec`` so that a survey reads it instead of building again."""
     name = spec.name or f"{spec.family}{list(spec.params)}"
     return CatalogEntry(
         name=name,
@@ -83,6 +93,7 @@ def entry_from_family(spec: FamilySpec, tags: tuple[str, ...] = ()) -> CatalogEn
         payload={"family": spec.family, "params": list(spec.params)},
         expected_pr=spec.expected_pr,
         tags=tags,
+        table=table,
     )
 
 

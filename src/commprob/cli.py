@@ -278,7 +278,7 @@ def _entries_from_args(parser, args):
         parser.error("exactly one of --catalog/--corpus is required")
     if args.catalog is not None:
         return ingest(args.catalog), f"catalog {args.catalog}"
-    entries = [entry_from_family(spec) for _, spec in corpus(args.corpus)]
+    entries = [entry_from_family(spec, table=table) for table, spec in corpus(args.corpus)]
     return entries, f"built-in corpus({args.corpus})"
 
 

@@ -3,11 +3,14 @@
 Every constructor is deterministic, and the corpus generated here is the
 ground-truth universe for the test suites: cyclic, dihedral, dicyclic,
 symmetric, alternating and extraspecial groups plus their pairwise
-direct products. Where a classical closed form for the commuting
-probability exists it is recorded as ``expected_pr`` (dihedral both
-parities, the polyhedral groups A4/S4/A5, extraspecial, cyclic = 1);
-the minimum nonlinear irreducible degree ``expected_d`` is attached as
-metadata where standard, never computed.
+direct products. ``make`` records two metadata fields, never computed
+from the table: ``expected_pr``, a classical closed form for Pr (cyclic
+= 1, dihedral of both parities, A4/S4/A5, extraspecial, multiplicativity
+for products), and ``expected_d``, the standard minimum nonlinear
+irreducible degree. ``corpus`` builds each group once, forming products
+from the factor tables it has built. It holds every table at once, so it
+refuses with ``OrderCapExceeded``, before building anything, when they
+would hold more than ``ORDER_CAP**2`` cells (one table at the cap).
 """
 
 from __future__ import annotations
@@ -41,18 +44,25 @@ SYMMETRIC_DEGREE_CAP = 7
 ALTERNATING_DEGREE_CAP = 7
 EXTRASPECIAL_ORDER_CAP = 3125
 
-BASE_FAMILIES = ("cyclic", "dihedral", "symmetric", "alternating", "dicyclic", "extraspecial")
-_FAMILY_CODE = {name: i for i, name in enumerate(BASE_FAMILIES)}
-_FAMILY_ARITY = {
-    "cyclic": 1,
-    "dihedral": 1,
-    "symmetric": 1,
-    "alternating": 1,
-    "dicyclic": 1,
-    "extraspecial": 2,
+# each base family's builder, named here and looked up when a member is
+# made (so a replaced module attribute is the one called), and its
+# parameter count; this order fixes the family codes of product params
+_FAMILIES = {
+    "cyclic": ("cyclic_table", 1),
+    "dihedral": ("dihedral_group", 1),
+    "symmetric": ("symmetric_group", 1),
+    "alternating": ("alternating_group", 1),
+    "dicyclic": ("dicyclic_table", 1),
+    "extraspecial": ("heisenberg_table", 2),
 }
+BASE_FAMILIES = tuple(_FAMILIES)
 
-_D_PROVENANCE = "standard character theory"
+# (expected_pr, expected_d) of the polyhedral members
+_POLYHEDRAL = {
+    ("symmetric", (4,)): (Fraction(5, 24), 2),
+    ("alternating", (4,)): (Fraction(1, 3), None),
+    ("alternating", (5,)): (Fraction(1, 12), 3),
+}
 
 
 @dataclass(frozen=True)
@@ -63,9 +73,7 @@ class FamilySpec:
     params: tuple[int, ...]
     name: str = ""
     expected_pr: Fraction | None = None
-    pr_provenance: str | None = None
     expected_d: int | None = None
-    d_provenance: str | None = None
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
@@ -179,12 +187,18 @@ def central_product(
 # ---------------------------------------------------------------------------
 
 
-def _dihedral_pr(n: int) -> Fraction:
-    return Fraction(n + 6, 4 * n) if n % 2 == 0 else Fraction(n + 3, 4 * n)
-
-
-def _extraspecial_pr(p: int, s: int) -> Fraction:
-    return Fraction(1, p) * (1 + Fraction(p - 1, p ** (2 * s)))
+def _known(fam: str, params: tuple[int, ...]) -> tuple[Fraction | None, int | None]:
+    """(expected_pr, expected_d) of a base member, each None where not recorded."""
+    if fam == "cyclic":
+        return Fraction(1), None
+    if fam == "dihedral":
+        (n,) = params
+        pr = Fraction(n + 6, 4 * n) if n % 2 == 0 else Fraction(n + 3, 4 * n)
+        return pr, (2 if n >= 3 else None)
+    if fam == "extraspecial":
+        p, s = params
+        return Fraction(1, p) * (1 + Fraction(p - 1, p ** (2 * s))), p**s
+    return _POLYHEDRAL.get((fam, params), (None, None))
 
 
 def _order_of(fam: str, params: tuple[int, ...]) -> int:
@@ -192,12 +206,11 @@ def _order_of(fam: str, params: tuple[int, ...]) -> int:
     if fam == "product":
         left, right = _split_product_params(params)
         return _order_of(left.family, left.params) * _order_of(right.family, right.params)
-    if fam not in _FAMILY_ARITY:
+    if fam not in _FAMILIES:
         raise UnsupportedParams(f"unknown family {fam!r}")
-    if len(params) != _FAMILY_ARITY[fam]:
-        raise UnsupportedParams(
-            f"{fam} takes {_FAMILY_ARITY[fam]} parameter(s), got {list(params)}"
-        )
+    arity = _FAMILIES[fam][1]
+    if len(params) != arity:
+        raise UnsupportedParams(f"{fam} takes {arity} parameter(s), got {list(params)}")
     n = params[0]
     if fam == "cyclic":
         if n < 1:
@@ -242,112 +255,42 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
         raise OrderCapExceeded(
             f"{fam}{list(params)} has order {order}, above the cap of {ORDER_CAP}"
         )
-    if fam == "cyclic":
-        table = cyclic_table(params[0])
-        filled = replace(
-            spec, name=table.name, expected_pr=Fraction(1), pr_provenance="abelian"
-        )
-    elif fam == "dihedral":
-        (n,) = params
-        table = dihedral_group(n)
-        filled = replace(
-            spec,
-            name=table.name,
-            expected_pr=_dihedral_pr(n),
-            pr_provenance="dihedral closed form",
-            expected_d=2 if n >= 3 else None,
-            d_provenance=_D_PROVENANCE if n >= 3 else None,
-        )
-    elif fam == "symmetric":
-        (n,) = params
-        table = symmetric_group(n)
-        filled = replace(spec, name=table.name)
-        if n == 4:
-            filled = replace(
-                filled,
-                expected_pr=Fraction(5, 24),
-                pr_provenance="polyhedral value table",
-                expected_d=2,
-                d_provenance=_D_PROVENANCE,
-            )
-    elif fam == "alternating":
-        (n,) = params
-        table = alternating_group(n)
-        filled = replace(spec, name=table.name)
-        if n == 4:
-            filled = replace(
-                filled,
-                expected_pr=Fraction(1, 3),
-                pr_provenance="polyhedral value table",
-            )
-        elif n == 5:
-            filled = replace(
-                filled,
-                expected_pr=Fraction(1, 12),
-                pr_provenance="polyhedral value table",
-                expected_d=3,
-                d_provenance=_D_PROVENANCE,
-            )
-    elif fam == "dicyclic":
-        table = dicyclic_table(params[0])
-        filled = replace(spec, name=table.name)
-    elif fam == "extraspecial":
-        p, s = params
-        table = heisenberg_table(p, s)
-        filled = replace(
-            spec,
-            name=table.name,
-            expected_pr=_extraspecial_pr(p, s),
-            pr_provenance="central p-group closed form",
-            expected_d=p**s,
-            d_provenance=_D_PROVENANCE,
-        )
-    else:
+    if fam == "product":
         left, right = _split_product_params(params)
-        table_a, spec_a = make(left)
-        table_b, spec_b = make(right)
-        table = direct_product(table_a, table_b)
-        expected = None
-        prov = None
-        if spec_a.expected_pr is not None and spec_b.expected_pr is not None:
-            expected = spec_a.expected_pr * spec_b.expected_pr
-            prov = "multiplicativity"
-        d, d_prov = _combine_degrees(table_a, spec_a, table_b, spec_b)
-        filled = replace(
-            spec,
-            name=table.name,
-            expected_pr=expected,
-            pr_provenance=prov,
-            expected_d=d,
-            d_provenance=d_prov,
-        )
-    return table, filled
+        return _product(make(left), make(right), spec)
+    table = globals()[_FAMILIES[fam][0]](*params)
+    pr, d = _known(fam, params)
+    return table, replace(spec, name=table.name, expected_pr=pr, expected_d=d)
 
 
-def _combine_degrees(ta, sa, tb, sb) -> tuple[int | None, str | None]:
-    """Minimum nonlinear irreducible degree of a product: tensor a
-    nonlinear factor irrep with a linear one on the other side."""
-    cands = []
-    for t, s in ((ta, sa), (tb, sb)):
-        if is_abelian(t):
-            continue
-        if s.expected_d is None:
-            return None, None
-        cands.append(s.expected_d)
-    if not cands:
-        return None, None
-    return min(cands), _D_PROVENANCE
+def _product(
+    a: tuple[GroupTable, FamilySpec], b: tuple[GroupTable, FamilySpec], spec: FamilySpec
+) -> tuple[GroupTable, FamilySpec]:
+    """The direct product of two built members, with ``spec`` filled in.
+
+    Pr is multiplicative. A nonlinear irrep of one factor tensored with a
+    linear one of the other gives the least nonlinear degree, so it is the
+    smallest degree of the nonabelian factors, if all of them record one.
+    """
+    (ta, sa), (tb, sb) = a, b
+    table = direct_product(ta, tb)
+    pr = None
+    if sa.expected_pr is not None and sb.expected_pr is not None:
+        pr = sa.expected_pr * sb.expected_pr
+    degrees = [s.expected_d for t, s in (a, b) if not is_abelian(t)]
+    d = None if not degrees or None in degrees else min(degrees)
+    return table, replace(spec, name=table.name, expected_pr=pr, expected_d=d)
 
 
 def product_spec(a: FamilySpec, b: FamilySpec) -> FamilySpec:
     """Encode a pairwise product of base-family members as one spec."""
     for s in (a, b):
-        if s.family not in _FAMILY_CODE:
+        if s.family not in _FAMILIES:
             raise UnsupportedParams("products nest base families only")
     params = (
-        (_FAMILY_CODE[a.family],)
+        (BASE_FAMILIES.index(a.family),)
         + tuple(a.params)
-        + (_FAMILY_CODE[b.family],)
+        + (BASE_FAMILIES.index(b.family),)
         + tuple(b.params)
     )
     return FamilySpec(family="product", params=params)
@@ -361,7 +304,7 @@ def _split_product_params(params: tuple[int, ...]) -> tuple[FamilySpec, FamilySp
         if not 0 <= code < len(BASE_FAMILIES):
             raise UnsupportedParams(f"unknown family code {code} in product params")
         fam = BASE_FAMILIES[code]
-        arity = _FAMILY_ARITY[fam]
+        arity = _FAMILIES[fam][1]
         if len(vals) < arity:
             raise UnsupportedParams("truncated product params")
         sides.append(FamilySpec(family=fam, params=tuple(vals[:arity])))
@@ -380,8 +323,10 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
     """Deterministic ground-truth corpus of order <= max_order.
 
     All base-family members, then all unordered pairwise direct products
-    of base members of order >= 2 that fit under the cap. Nothing is
-    deduplicated here; fingerprint-based dedup is a reporting concern.
+    of base members of order >= 2 that fit under the cap, each formed
+    from the factor tables already built. Nothing is deduplicated here;
+    fingerprint-based dedup is a reporting concern. The table cells are
+    counted from the orders and checked before anything is built.
     """
     if max_order < 1:
         raise UnsupportedParams("max_order must be >= 1")
@@ -408,15 +353,25 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
                 s += 1
         p += 1
 
+    orders = [_order_of(s.family, s.params) for s in base_specs]
+    nontrivial = [i for i, n in enumerate(orders) if n >= 2]
+    pairs = [
+        (i, j)
+        for k, i in enumerate(nontrivial)
+        for j in nontrivial[k:]
+        if orders[i] * orders[j] <= max_order
+    ]
+    cells = sum(n * n for n in orders) + sum((orders[i] * orders[j]) ** 2 for i, j in pairs)
+    if cells > ORDER_CAP**2:
+        raise OrderCapExceeded(
+            f"corpus({max_order}) would hold {cells} table cells at once, "
+            f"above the {ORDER_CAP**2} of one table at the order cap"
+        )
     built = [make(s) for s in base_specs]
-    out = list(built)
-    nontrivial = [(t, s) for t, s in built if t.order >= 2]
-    for i, (ta, sa) in enumerate(nontrivial):
-        for tb, sb in nontrivial[i:]:
-            if ta.order * tb.order > max_order:
-                continue
-            out.append(make(product_spec(sa, sb)))
-    return out
+    return built + [
+        _product(built[i], built[j], product_spec(built[i][1], built[j][1]))
+        for i, j in pairs
+    ]
 
 
 def fingerprint(G: GroupTable) -> tuple[int, Fraction, tuple[int, ...]]:

@@ -133,8 +133,9 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
     D = subgroup_table(G, derived)  # abelian
     d_members = np.asarray(derived.members, dtype=_DTYPE)
     n = G.order
-    allv = np.arange(n, dtype=_DTYPE)
-    comms = _commutators(G, allv, allv)  # comms[g, x] = [g, x]
+    # G' is central, so g -> [g, x] is a homomorphism: [G, x] lies in K
+    # exactly when [s, x] does for each generator s
+    comms = _commutators(G, G.generators, np.arange(n, dtype=_DTYPE))
 
     terms = []
     total = Fraction(0)
@@ -266,8 +267,7 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
                 )
             )
 
-    d_table = subgroup_table(G, derived)
-    if derived.order == 6 and is_abelian(d_table) and len(inter) == 2:
+    if derived.order == 6 and len(inter) == 2 and is_abelian(subgroup_table(G, derived)):
         diff = actual - Fraction(1, 4)
         den = diff.denominator
         power_of_two = den >= 8 and (den & (den - 1)) == 0
@@ -363,28 +363,6 @@ class PrReport:
             head.append(b.bound)
             row.append("skipped" if b.skipped else ("holds" if b.holds else "FAILS"))
         return ",".join(head) + "\n" + ",".join(row) + "\n"
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "PrReport":
-        bounds = tuple(
-            BoundResult(
-                bound=b["bound"],
-                relation=b["relation"],
-                lhs=None if b["lhs"] is None else Fraction(b["lhs"]),
-                rhs=None if b["rhs"] is None else Fraction(b["rhs"]),
-                holds=b["holds"],
-                note=b.get("note", ""),
-            )
-            for b in data.get("bounds", [])
-        )
-        return PrReport(
-            name=data["name"],
-            order=data["order"],
-            k=data["k"],
-            pr=Fraction(data["pr"]),
-            center_index=data["center_index"],
-            bounds=bounds,
-        )
 
 
 def pr_report(G: GroupTable) -> PrReport:

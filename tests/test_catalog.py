@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -115,6 +116,19 @@ def test_survey_spectrum_witnesses(corpus16):
 def test_survey_abelian_filter(corpus16):
     report = survey(corpus_entries(corpus16), EntryFilter(abelian_only=True))
     assert [v for v, _ in report.spectrum] == [Fraction(1)]
+
+
+def test_survey_of_carried_tables_matches_rebuilt_entries(corpus64):
+    """Entries that carry the corpus tables survey to the same bytes as
+    entries rebuilt from their specs, and still check expected_pr."""
+    carried = [entry_from_family(spec, table=table) for table, spec in corpus64]
+    assert (
+        survey(carried, universe="corpus(64)").to_json()
+        == survey(corpus_entries(corpus64), universe="corpus(64)").to_json()
+    )
+    d4 = next(e for e in carried if e.name == "D4")
+    [row] = survey([dataclasses.replace(d4, expected_pr=Fraction(1))]).rows
+    assert row.status == "failed" and "computed 5/8" in row.error
 
 
 def test_survey_dihedral_rows_match_closed_form():

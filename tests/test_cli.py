@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import commprob.catalog
 import commprob.cli
 import commprob.egyptian
 import commprob.probability
@@ -276,6 +277,20 @@ def test_stdout_determinism(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_corpus_survey_builds_nothing_again(capsys, monkeypatch):
+    """survey --corpus hands each corpus table to its entry, so the
+    survey builds no family member a second time."""
+    argv = ["survey", "--corpus", "16", "--json"]
+    _, plain, _ = run(capsys, *argv)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("rebuilt a corpus group")
+
+    monkeypatch.setattr(commprob.catalog, "make", no_rebuild)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out == plain
 
 
 def test_cache_flag_and_variable_are_ignored(capsys, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,63 @@ def test_corpus_contents():
     c60 = corpus(60)
     a5 = next(spec for _, spec in c60 if spec.name == "A5")
     assert a5.expected_pr == Fraction(1, 12)
+
+
+BUILDERS = {
+    "cyclic": "cyclic_table",
+    "dihedral": "dihedral_group",
+    "symmetric": "symmetric_group",
+    "alternating": "alternating_group",
+    "dicyclic": "dicyclic_table",
+    "extraspecial": "heisenberg_table",
+    "product": "direct_product",
+}
+
+
+def test_corpus_builds_each_group_once(monkeypatch):
+    """One builder call per member: products are formed from the factor
+    tables already built, not by building the factors again."""
+    from commprob import families
+
+    calls = Counter()
+    for builder in BUILDERS.values():
+        def counted(*args, _builder=builder, _build=getattr(families, builder)):
+            calls[_builder] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(families, builder, counted)
+    members = Counter(spec.family for _, spec in corpus(16))
+    assert set(members) == set(BUILDERS)
+    assert calls == Counter({BUILDERS[fam]: k for fam, k in members.items()})
+
+
+def test_corpus_checks_its_cells_before_building(monkeypatch, capsys):
+    """corpus() holds every table at once; above ORDER_CAP**2 cells in all
+    it raises OrderCapExceeded before building anything."""
+    from commprob import families
+    from commprob.cli import main
+
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("reached a builder")
+
+    for builder in BUILDERS.values():
+        monkeypatch.setattr(families, builder, must_not_build)
+    # at the default cap, corpus(448) fits and corpus(480) does not
+    with pytest.raises(AssertionError):
+        corpus(448)
+    for max_order in (480, 1024):
+        with pytest.raises(OrderCapExceeded):
+            corpus(max_order)
+
+    monkeypatch.setattr(families, "ORDER_CAP", 100)
+    with pytest.raises(AssertionError):
+        corpus(17)  # 9 307 cells
+    with pytest.raises(OrderCapExceeded):
+        corpus(18)  # 12 547 cells
+    capsys.readouterr()
+    assert main(["survey", "--corpus", "18"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "12547" in err and "10000" in err
 
 
 def test_corpus_is_deterministic():
