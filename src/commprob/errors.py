@@ -50,7 +50,7 @@ class SearchBudgetExceeded(CommprobError):
 
 
 class UnsupportedParams(CommprobError):
-    """Family parameters outside the supported range."""
+    """Family parameters or a permutation degree outside the supported range."""
 
 
 class ParseError(CommprobError):

@@ -55,12 +55,13 @@ from .errors import (
     NotLatinSquare,
     NotNormal,
     OrderCapExceeded,
+    UnsupportedParams,
 )
 
 # Cap for subgroup enumeration (the most expensive primitive here).
 SUBGROUP_CUTOFF = 192
 
-# Cap for closures and direct products.
+# Cap for closures, permutation degrees and direct products.
 ORDER_CAP = 20_000
 
 _DTYPE = np.int32
@@ -237,12 +238,22 @@ class Permutation:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _check_degree(degree: int) -> None:
+    """Refuse a bad degree before any list of that length is made; a
+    degree above ``ORDER_CAP`` is refused like an order above it."""
+    if degree < 0:
+        raise UnsupportedParams(f"degree must be >= 0, got {degree}")
+    if degree > ORDER_CAP:
+        raise OrderCapExceeded(f"degree {degree} exceeds the cap of {ORDER_CAP}")
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation like ``"(1 2)(3 4)"``.
 
     Fixed points are omitted; ``""`` and ``"()"`` denote the identity.
     Juxtaposed cycles are applied left to right.
     """
+    _check_degree(degree)
     stripped = _CYCLE_RE.sub("", text).strip()
     if stripped:
         raise ValueError(f"stray characters in cycle notation: {stripped!r}")
@@ -401,10 +412,17 @@ def build_from_permutations(
     Elements are numbered by breadth-first discovery with the generator
     order fixed, so identical input always yields identical numbering.
     The closure records ``right[k][g]``, the index of e_k * g, and the
-    (k, g) that first reached each element e_j = e_k * g. Then
-    x * e_j = (x * e_k) * g, so column j of the table is one gather of
-    column k through generator g's right-multiplication map.
+    (k, g) that first reached each element e_j = e_k * g.
+
+    The table is filled a contiguous row at a time. For each generator h
+    the left-multiplication map L_h (L_h[j] is the index of h * e_j)
+    follows from the closure in O(n): L_h[0] is the index of h, and
+    h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g]. Then for
+    e_i = e_k * h, e_i * e_j = e_k * (h * e_j), so row i is row k
+    gathered through L_h. Row k comes before row i in the numbering,
+    and no n^2 temporary is formed.
     """
+    _check_degree(degree)
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
@@ -434,12 +452,20 @@ def build_from_permutations(
             row.append(j)
         right.append(row)
     n = len(elems)
-    by_gen = np.array(right, dtype=_DTYPE).reshape(n, len(gens)).T.copy()
+    left = {}
+    for h in {h for _, h in parent[1:]}:
+        lh = [0] * n
+        lh[0] = right[0][h]  # h * e_0 = h
+        for j in range(1, n):
+            k, g = parent[j]
+            lh[j] = right[lh[k]][g]
+        left[h] = np.array(lh, dtype=_DTYPE)
     op = np.empty((n, n), dtype=_DTYPE)
-    op[:, 0] = np.arange(n, dtype=_DTYPE)
-    for j in range(1, n):
-        k, g = parent[j]
-        op[:, j] = by_gen[g][op[:, k]]
+    op[0] = np.arange(n, dtype=_DTYPE)
+    for i in range(1, n):
+        k, h = parent[i]
+        # indices are in range; "clip" skips the buffered copy of "raise"
+        np.take(op[k], left[h], out=op[i], mode="clip")
     return GroupTable(order=n, op=op, inv=_inverses(op), name=name)
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ import commprob.egyptian
 import commprob.probability
 from commprob.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv):
@@ -217,6 +221,46 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         path.write_text(json.dumps(table))
         code, out, err = run(capsys, "pr", "--cayley", str(path))
         assert code == 1 and out == "" and "must be integers" in err
+
+
+def _run_limited(*argv, cwd):
+    """The CLI in a subprocess whose address space is capped at 1 GiB, so
+    that a list with one entry per point of a huge degree cannot be made."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "commprob.cli", *argv], cwd=cwd, env=env,
+        preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_huge_degree_is_refused_before_any_list(tmp_path):
+    done = _run_limited("pr", "--perms", "(1 2)", "--degree", "30000000", cwd=tmp_path)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr and "error: degree 30000000" in done.stderr
+
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(json.dumps(e) for e in [
+        {"name": "S3", "source": "permutations", "degree": 3, "gens": ["(1 2)", "(1 2 3)"]},
+        {"name": "huge", "source": "permutations", "degree": 30000000, "gens": ["(1 2)"]},
+        {"name": "bare", "source": "permutations", "degree": 30000000, "gens": []},
+        {"name": "C4", "source": "family", "family": "cyclic", "params": [4]},
+    ]) + "\n")
+    done = _run_limited("survey", "--catalog", str(path), cwd=tmp_path)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stdout == "name,order,k,pr\nS3,6,3,1/2\nhuge,,,FAILED\nbare,,,FAILED\nC4,4,4,1\n"
+
+
+def test_negative_degree_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "pr", "--perms", "()", "--degree", "-3")
+    assert code == 1 and out == "" and "error: degree must be >= 0" in err
 
 
 def test_bad_interval_fails_before_surveying(capsys, monkeypatch):

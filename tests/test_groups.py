@@ -7,6 +7,7 @@ they check.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -23,6 +24,7 @@ from commprob.errors import (
     NotLatinSquare,
     NotNormal,
     OrderCapExceeded,
+    UnsupportedParams,
 )
 from commprob.families import FamilySpec, make
 from commprob.groups import (
@@ -217,6 +219,74 @@ def test_permutation_table_matches_naive_closure(degree, cycles):
     expected = naive_permutation_table(degree, gens)
     assert as_lists(G) == expected
     assert [int(v) for v in G.inv] == [row.index(0) for row in expected]
+
+
+@st.composite
+def generator_lists(draw):
+    """Degree 1-6 and 0-3 generators, drawn from a small pool that holds
+    the identity, so identity and repeated generators both occur."""
+    degree = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    pool.append(list(range(degree)))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=3))
+    return degree, [Permutation(degree, tuple(p)) for p in picks]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(generator_lists())
+@example((1, []))
+@example((4, [Permutation(4, (1, 0, 2, 3))] * 2 + [Permutation(4, (0, 1, 2, 3))]))
+@example((6, [Permutation(6, (0, 1, 2, 3, 4, 5)), Permutation(6, (1, 0, 2, 3, 4, 5)),
+              Permutation(6, (1, 2, 3, 4, 5, 0))]))  # S6 after the identity
+def test_permutation_fill_matches_naive(group):
+    degree, gens = group
+    G = build_from_permutations(degree, gens)
+    expected = naive_permutation_table(degree, gens)
+    assert as_lists(G) == expected
+    assert [int(v) for v in G.inv] == [row.index(0) for row in expected]
+
+
+@pytest.mark.parametrize(
+    "cycles, digest",
+    [
+        (["(1 2)", "(1 2 3 4 5 6 7)"],
+         "d3948ec7d34931b6770bcec75f8e0b2a6e374496cc5dce8973ffe2078867ae97"),
+        (["(1 2 3)", "(2 3 4 5 6 7)"],
+         "db1ff13e360c6459afeab6116ea72234651b75dae934a2c98891f9662f9bf6d8"),
+        (["(1 2 3)", "(3 4 5 6 7)"],
+         "042729eab0a3ebe21c08182396d4171addfe2283bdb0cf98b14c43f25e3e2abb"),
+    ],
+    ids=["S7-transposition-7cycle", "S7-3cycle-6cycle", "A7"],
+)
+def test_permutation_table_bytes_are_pinned(cycles, digest):
+    """Numbering, ``op`` and ``inv`` of degree-7 builds keep their bytes."""
+    G = build_from_permutations(7, [parse_cycles(c, 7) for c in cycles])
+    assert hashlib.sha256(G.op.tobytes() + G.inv.tobytes()).hexdigest() == digest
+
+
+def test_permutation_build_memory_is_one_table():
+    """Building S7 holds the 5040 x 5040 int32 table (97 MiB) and no
+    second n^2 array, such as a Fortran-order copy to transpose."""
+    gens = [parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7)]
+    tracemalloc.start()
+    try:
+        G = build_from_permutations(7, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 5040
+    assert peak <= G.op.nbytes + 8 * 2**20
+
+
+def test_bad_degree_fails_before_building():
+    with pytest.raises(UnsupportedParams):
+        parse_cycles("()", -3)
+    with pytest.raises(UnsupportedParams):
+        build_from_permutations(-1, [])
+    for call in (lambda: parse_cycles("(1 2)", 20_001),
+                 lambda: build_from_permutations(20_001, [])):
+        with pytest.raises(OrderCapExceeded):
+            call()
 
 
 def test_order_cap():
