@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CommprobError, ParseError, ValidationError
+from .errors import CommprobError, OrderCapExceeded, ParseError, ValidationError
 from .families import FamilySpec, make
 from .groups import (
     GroupTable,
@@ -29,6 +29,7 @@ from .groups import (
     build_from_permutations,
     parse_cycles,
     prime_power,
+    table_from_json,
 )
 from .probability import pr_report
 from .rationals import format_rational, parse_rational
@@ -60,7 +61,10 @@ class CatalogEntry:
             return self.table
         try:
             if self.source == "cayley":
-                return build_from_cayley(self.payload["table"], name=self.name)
+                table = self.payload["table"]
+                if isinstance(table, OrderCapExceeded):  # refused by ingest
+                    raise table
+                return build_from_cayley(table, name=self.name)
             if self.source == "permutations":
                 degree = int(self.payload["degree"])
                 gens = [parse_cycles(s, degree) for s in self.payload["gens"]]
@@ -97,15 +101,64 @@ def entry_from_family(
     )
 
 
+_HOLE = object()
+
+
+def _fill_hole(constant: str):
+    return _HOLE if constant == "NaN" else float(constant)
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``, except that the value of a top-level
+    ``"table"`` key is read by ``table_from_json`` when it can be.
+
+    The first ``"table":`` value in the text is cut out and ``NaN`` put in
+    its place; the rest is decoded with that one ``NaN`` marked. Only if
+    the mark ends up as the top-level ``"table"`` value, the one that
+    ``json.loads`` keeps among duplicate keys, does the cut-out table
+    replace it. Otherwise the whole line goes through ``json.loads``.
+    A table refused for its order is kept as its ``OrderCapExceeded``,
+    so that the entry fails when built and the survey goes on.
+    """
+    key = line.find('"table":')
+    start = key + len('"table":')
+    if key >= 0 and line.startswith(" ", start):
+        start += 1
+    end = line.find("]]", start) + 2
+    if key < 0 or end < 2 or not line.startswith("[[", start):
+        return json.loads(line)
+    try:
+        table = table_from_json(line[start:end])
+    except OrderCapExceeded as exc:
+        table = exc
+    rest = line[:start] + "NaN" + line[end:]
+    if table is None or rest.count("NaN") != 1:
+        return json.loads(line)
+    try:
+        data = json.loads(rest, parse_constant=_fill_hole)
+    except ValueError:
+        return json.loads(line)
+    if not isinstance(data, dict) or data.get("table") is not _HOLE:
+        return json.loads(line)
+    data["table"] = table
+    return data
+
+
 def ingest(path) -> list[CatalogEntry]:
-    """Parse a line-delimited JSON catalog. Blank lines are ignored."""
+    """Parse a line-delimited JSON catalog. Blank lines are ignored.
+
+    A ``cayley`` line's table is read straight into an int64 array when
+    it is spelled compactly or with ``json.dumps``'s default separators
+    (``groups.table_from_json``); any other valid JSON decodes the same,
+    through ``json.loads``.
+    """
     entries: list[CatalogEntry] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                data = _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: {exc}", line=lineno) from exc
             if not isinstance(data, dict) or "name" not in data or "source" not in data:
@@ -281,12 +334,15 @@ class SurveyReport:
 
 
 def _compute_row(entry: CatalogEntry) -> SurveyRow:
+    """One entry's row; an entry that fails, or runs out of memory, gives
+    a FAILED row instead of ending the survey."""
     try:
-        table = entry.build()
-    except (ValidationError, CommprobError) as exc:
-        return SurveyRow(name=entry.name, status="failed", tags=entry.tags,
-                         error=str(exc))
-    report = pr_report(table)
+        report = pr_report(entry.build())
+    except (CommprobError, MemoryError) as exc:
+        error = str(exc)
+        if isinstance(exc, MemoryError):
+            error = f"entry {entry.name!r}: out of memory" + (f": {error}" if error else "")
+        return SurveyRow(name=entry.name, status="failed", tags=entry.tags, error=error)
     row = SurveyRow(
         name=entry.name,
         status="ok",

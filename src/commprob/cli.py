@@ -24,6 +24,7 @@ from .groups import (
     largest_abelian_normal_subgroup,
     parse_cycles,
     subgroup_from_generators,
+    table_from_json,
 )
 from .probability import (
     abelian_decomposition,
@@ -68,7 +69,11 @@ def _group_from_args(parser: argparse.ArgumentParser, args) -> GroupTable:
         raise CommprobError(f"no entry named {args.name!r} in {args.catalog}")
     if args.cayley is not None:
         with open(args.cayley, "r", encoding="utf-8") as fh:
-            return build_from_cayley(json.load(fh), name=args.cayley)
+            text = fh.read()
+        table = table_from_json(text)
+        return build_from_cayley(
+            json.loads(text) if table is None else table, name=args.cayley
+        )
     if args.degree is None:
         parser.error("--perms needs --degree")
     gens = [parse_cycles(s, args.degree) for s in args.perms]
@@ -326,6 +331,10 @@ def main(argv=None) -> int:
         return handlers[args.command](parser, args)
     except (CommprobError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

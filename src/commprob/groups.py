@@ -326,6 +326,7 @@ def _check_associativity(op: np.ndarray) -> None:
                 raise NotAssociative(
                     f"(x*y)*z != x*(y*z) at (x,y,z)=({x},{s},{y})", cell=(x, s, y)
                 )
+            del left, right  # before the next pair is formed
 
 
 def _inverses(op: np.ndarray) -> np.ndarray:
@@ -340,11 +341,96 @@ def _inverses(op: np.ndarray) -> np.ndarray:
     return inv
 
 
+_JSON_SPACE = " \t\n\r"
+_TABLE_BYTES = b"0123456789,[]"
+_COMMA = ord(",")
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def table_from_json(text: str) -> np.ndarray | None:
+    """``np.asarray(json.loads(text))`` for the JSON text of a square table
+    of non-negative integers, read without a Python int per cell; None
+    for any text that this reader cannot prove ``json.loads`` decodes to
+    the same int64 array.
+
+    Accepted are the compact ``[[0,1],[1,0]]`` and the ``json.dumps``
+    default ``[[0, 1], [1, 0]]`` spellings, with JSON whitespace around
+    the whole. Any other whitespace, a sign, a fraction, an exponent, a
+    boolean, a leading zero, an empty or ragged row, a value that does
+    not fit in int64 or a non-ASCII character gives None, and the caller
+    decodes the text with ``json.loads``. The structure is proved with a
+    few byte passes; then one ``np.fromstring`` parses all n^2 values.
+
+    Raises ``OrderCapExceeded`` for more than ``ORDER_CAP`` rows, from
+    the row count, before any n^2 array exists.
+    """
+    text = text.strip(_JSON_SPACE)
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    del text  # often the only reference: a copy of the table's text
+    if b", " in raw:
+        # whitespace between tokens is insignificant; after this only
+        # digits, commas and brackets may remain
+        raw = raw.replace(b", ", b",")
+    if raw.translate(None, _TABLE_BYTES) or not (
+        raw.startswith(b"[[") and raw.endswith(b"]]")
+    ):
+        return None
+    n = raw.count(b"],[") + 1
+    if n > ORDER_CAP:
+        raise OrderCapExceeded(f"table of {n} rows exceeds the cap of {ORDER_CAP}")
+    if raw.count(b"[") != n + 1:
+        return None
+    # Row r runs from ``start`` to the first "]" after it; it must hold n
+    # values, not begin or end with a comma, and be followed by "],[" or,
+    # for the last row, by the final "]]". With the count of "[" above,
+    # the text is "[[" row "],[" row ... "]]" and no row holds a bracket.
+    start = 2
+    for r in range(n):
+        end = raw.index(b"]", start)
+        if (
+            end == start
+            or raw[start] == _COMMA
+            or raw[end - 1] == _COMMA
+            or raw.count(b",", start, end) != n - 1
+            or raw[end + 1:end + 3] != (b",[" if r < n - 1 else b"]")
+        ):
+            return None
+        start = end + 3
+    comma = np.frombuffer(raw, dtype=np.uint8) == _COMMA
+    if (comma[1:] & comma[:-1]).any():
+        return None
+    del comma
+    # Now the text holds exactly n^2 runs of digits. That must be proved
+    # first: given a count, np.fromstring makes up values it cannot read,
+    # and without one, numpy < 2 returns what it read so far from
+    # malformed text. It also clamps values past int64 to its maximum.
+    raw = raw.translate(_BRACKETS_TO_SPACES)
+    values = np.fromstring(raw, dtype=np.int64, count=n * n, sep=",")
+    if values.size != n * n:
+        return None
+    top = int(values.max())
+    if top == _INT64_MAX:
+        return None
+    # np.fromstring reads "01" as 1: the digits in the text, all bytes but
+    # the n^2 - 1 commas and 2n + 2 brackets, must number exactly the
+    # decimal digits of the values
+    digits = len(raw) - (n * n - 1) - 2 * (n + 1)
+    if digits != values.size + sum(
+        np.count_nonzero(values >= 10**k) for k in range(1, len(str(top)))
+    ):
+        return None
+    return values.reshape(n, n)
+
+
 def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> GroupTable:
     """Validate a square multiplication table and wrap it as a group.
 
     The identity is relabeled to index 0 if necessary (labels 0 and e
     swap; the cells that later errors name use this numbering). Raises
+    ``OrderCapExceeded`` above ``ORDER_CAP`` rows, and
     ``NotClosed`` / ``NoIdentity`` / ``NotLatinSquare`` / ``NotAssociative``,
     each naming the first violating cell. Entries must be integers:
     floats and booleans raise ``NotClosed`` instead of being truncated.
@@ -359,9 +445,11 @@ def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> Grou
     op = np.asarray(table)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
         raise NotClosed(f"table must be square and nonempty, got shape {op.shape}")
+    n = op.shape[0]
+    if n > ORDER_CAP:
+        raise OrderCapExceeded(f"table of {n} rows exceeds the cap of {ORDER_CAP}")
     if op.dtype.kind not in "iu":
         raise NotClosed(f"table entries must be integers, got {op.dtype}")
-    n = op.shape[0]
 
     bad = (op < 0) | (op >= n)
     if bad.any():
@@ -379,10 +467,13 @@ def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> Grou
         raise NoIdentity("no two-sided identity element")
     e = int(ids[0])
     if e != 0:
-        # swap labels 0 and e
-        relabel = idx.copy()
-        relabel[0], relabel[e] = e, 0
-        op = relabel[op[np.ix_(relabel, relabel)]]
+        # swap labels 0 and e in place (op is our own copy): rows, columns
+        # and values
+        op[[0, e]] = op[[e, 0]]
+        op[:, [0, e]] = op[:, [e, 0]]
+        was_zero = op == 0
+        op[op == e] = 0
+        op[was_zero] = e
 
     # a row (column) is a permutation iff it sorts to 0..n-1; only the first
     # bad one is searched for its first repeated cell

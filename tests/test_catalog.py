@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from commprob.catalog import (
@@ -17,6 +20,8 @@ from commprob.catalog import (
     survey,
 )
 from commprob.errors import ParseError, ValidationError
+from commprob.families import FamilySpec, make
+from commprob.groups import ORDER_CAP
 from commprob.probability import erdos_turan_holds
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -92,6 +97,106 @@ def test_invalid_cayley_payload_names_entry(tmp_path):
         entry.build()
     assert e.value.entry == "broken"
     assert "NotLatinSquare" in str(e.value)
+
+
+C2 = "[[0,1],[1,0]]"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "line, fast",
+    [
+        ('{"name":"a","source":"cayley","table":%s}' % C2, True),
+        ('{"name": "a", "source": "cayley", "table": [[0, 1], [1, 0]], "tags": ["t"]}', True),
+        ('{"table":%s,"name":"a","source":"cayley"}' % C2, True),
+        ('{"name":"a","source":"cayley","table":%s,"x":Infinity}' % C2, True),
+        # json.loads keeps the last of duplicate keys, however spelled
+        ('{"name":"a","source":"cayley","table":%s,"table":[[0]]}' % C2, False),
+        ('{"name":"a","source":"cayley","table":[[0]],"table":%s}' % C2, False),
+        ('{"name":"a","source":"cayley","table":%s,"tab\\u006ce":[[0]]}' % C2, False),
+        ('{"name":"a","source":"cayley","tab\\u006ce":[[0]],"table":%s}' % C2, True),
+        # only the top-level key counts
+        ('{"name":"a","source":"cayley","meta":{"table":%s},"table":[[0]]}' % C2, False),
+        ('{"name":"a","source":"cayley","x\\"table":%s,"table":[[0]]}' % C2, False),
+        ('{"name":"a\\"table\\":%s","source":"cayley","table":[[0]]}' % C2, True),
+        ('[{"name":"a","source":"cayley","table":%s}]' % C2, False),
+        # the mark is the only NaN; a NaN of the line's own is kept
+        ('{"name":"a","source":"cayley","table":%s,"x":NaN}' % C2, False),
+        ('{"name":"a","source":"cayley","x":[NaN],"table":%s}' % C2, False),
+        # spellings the reader leaves to json.loads
+        ('{"name":"a","source":"cayley","table":  %s}' % C2, False),
+        ('{"name":"a","source":"cayley","table":[[0,1],\t[1,0]]}', False),
+        ('{"name":"a","source":"cayley","table":[[0,-1],[1,0]]}', False),
+        ('{"name":"a","source":"cayley","table":[[0,1.0],[1,0]]}', False),
+        ('{"name":"é","source":"cayley","table":%s}' % C2, True),
+    ],
+)
+def test_cayley_line_decodes_as_json_loads(tmp_path, line, fast):
+    """A table is read by the fast reader only where the line decodes to
+    the same payload through json.loads; every line here is valid JSON."""
+    path = tmp_path / "cat.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    data = json.loads(line)
+    if isinstance(data, list):
+        with pytest.raises(ParseError):
+            ingest(path)
+        return
+    (entry,) = ingest(path)
+    table = entry.payload["table"]
+    assert isinstance(table, np.ndarray) == fast
+    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v
+               for k, v in entry.payload.items()}
+    want = {k: v for k, v in data.items() if k not in ("name", "source", "tags")}
+    assert json.dumps(payload) == json.dumps(want)
+    assert entry.name == data["name"]
+
+
+def test_cayley_line_errors_are_unchanged(tmp_path):
+    for bad in ('{"name":"a","source":"cayley","table":[[01]]}',
+                '{"name":"a","source":"cayley","table":%s,}' % C2,
+                '{"name":"a","source":"cayley","table":%s' % C2,
+                '{"name":"a","source":"cayley","table":%s5}' % C2):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(bad + "\n")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(bad + "\n")
+        with pytest.raises(ParseError) as e:
+            ingest(path)
+        assert str(e.value) == f"line 1: {want.value}"
+
+
+def test_oversized_cayley_entry_is_a_failed_row(tmp_path):
+    skeleton = "[" + ",".join(["[0]"] * (ORDER_CAP + 1)) + "]"
+    path = tmp_path / "cat.jsonl"
+    path.write_text(
+        '{"name":"big","source":"cayley","table":%s}\n' % skeleton
+        + '{"name":"C2","source":"cayley","table":%s}\n' % C2
+    )
+    report = survey(ingest(path))
+    big, c2 = report.rows
+    assert big.status == "failed" and "OrderCapExceeded" in big.error
+    assert f"{ORDER_CAP + 1} rows" in big.error
+    assert c2.status == "ok" and c2.order == 2
+
+
+def test_cayley_ingest_and_build_memory(tmp_path):
+    """Ingesting and building one order-720 line (a 2 MB text) keeps no
+    Python int per cell: the table goes from text to an int64 array."""
+    G, _ = make(FamilySpec("symmetric", (6,)))
+    perm = np.asarray(random.Random(3).sample(range(720), 720))
+    table = np.empty_like(G.op)
+    table[np.ix_(perm, perm)] = perm[G.op]
+    path = tmp_path / "s6.jsonl"
+    path.write_text(json.dumps({"name": "S6", "source": "cayley", "table": table.tolist()},
+                               separators=(",", ":")) + "\n")
+    tracemalloc.start()
+    try:
+        (entry,) = ingest(path)
+        assert entry.build().order == 720
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_shipped_exponent_seven_catalog():

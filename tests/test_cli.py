@@ -258,6 +258,44 @@ def test_huge_degree_is_refused_before_any_list(tmp_path):
     assert done.stdout == "name,order,k,pr\nS3,6,3,1/2\nhuge,,,FAILED\nbare,,,FAILED\nC4,4,4,1\n"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_out_of_memory_is_a_domain_error(tmp_path):
+    """C_20000 is within ORDER_CAP, but its 1.5 GiB table does not fit in
+    1 GiB: the CLI prints an error line, and a survey fails that row only."""
+    done = _run_limited("pr", "--family", "cyclic", "--params", "20000", cwd=tmp_path)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr and done.stderr.startswith("error: out of memory")
+
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(json.dumps(e) for e in [
+        {"name": "C3", "source": "family", "family": "cyclic", "params": [3]},
+        {"name": "big", "source": "family", "family": "cyclic", "params": [20000]},
+        {"name": "C4", "source": "family", "family": "cyclic", "params": [4]},
+    ]) + "\n")
+    done = _run_limited("survey", "--catalog", str(path), cwd=tmp_path)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stdout == "name,order,k,pr\nC3,3,3,1\nbig,,,FAILED\nC4,4,4,1\n"
+
+
+def test_cayley_file_spellings(capsys, tmp_path):
+    """Every spelling of a table json.load reads gives the same answer,
+    and text it refuses gives its error unchanged."""
+    path = tmp_path / "t.json"
+    table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+    for text in (json.dumps(table), json.dumps(table, separators=(",", ":")) + "\n",
+                 json.dumps(table, indent=1), json.dumps([[0, 1, 2], [1, 2, 0], [2, 0, 1]])):
+        path.write_text(text)
+        assert run(capsys, "pr", "--cayley", str(path)) == (0, "1\n", "")
+    for text in ("[[01]]", "[[0,1],[1,0]],", ""):
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        assert run(capsys, "pr", "--cayley", str(path)) == (1, "", f"error: {want.value}\n")
+    path.write_text("[" + ",".join(["[0]"] * 20_001) + "]")
+    code, out, err = run(capsys, "pr", "--cayley", str(path))
+    assert (code, out) == (1, "") and err.startswith("error: table of 20001 rows exceeds the cap")
+
+
 def test_negative_degree_is_a_domain_error(capsys):
     code, out, err = run(capsys, "pr", "--perms", "()", "--degree", "-3")
     assert code == 1 and out == "" and "error: degree must be >= 0" in err

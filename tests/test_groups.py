@@ -8,6 +8,7 @@ they check.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import tracemalloc
 from itertools import combinations
@@ -28,6 +29,7 @@ from commprob.errors import (
 )
 from commprob.families import FamilySpec, make
 from commprob.groups import (
+    ORDER_CAP,
     GroupTable,
     Permutation,
     Subgroup,
@@ -56,6 +58,7 @@ from commprob.groups import (
     subgroup_from_generators,
     subgroup_from_members,
     subgroup_table,
+    table_from_json,
 )
 from commprob.probability import pr_direct
 
@@ -721,6 +724,164 @@ def test_cayley_validation_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "family, seed, digest",
+    [
+        ((("symmetric", (5,)),), 5,
+         "3b8abbf38da38f964f49771953be3f076782acc992c4b1387cc0d7a2f78f9a9e"),
+        ((("alternating", (6,)), ("cyclic", (2,))), 12,
+         "ac8e6d804e86a322ed0a64ed43b3b5721fb680001a3d8aafcd6da4e92e6ae217"),
+    ],
+    ids=["S5", "A6xC2"],
+)
+def test_identity_swap_bytes_are_pinned(family, seed, digest):
+    """The identity of a relabelled table is moved to 0 by swapping rows,
+    columns and values 0 and e in place; the bytes of ``op`` and ``inv``
+    are those of the former ``relabel[op[np.ix_(relabel, relabel)]]``."""
+    factors = [make(FamilySpec(name, params))[0] for name, params in family]
+    G = factors[0] if len(factors) == 1 else direct_product(*factors)
+    table = relabelled(np.array(G.op), random.Random(seed))
+    assert table[0, 0] != 0  # the identity is off 0
+    H = build_from_cayley(table.tolist())
+    assert hashlib.sha256(H.op.tobytes() + H.inv.tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# reading tables from JSON text
+# ---------------------------------------------------------------------------
+
+
+def json_table(text: str) -> np.ndarray:
+    return np.asarray(json.loads(text))
+
+
+@pytest.mark.filterwarnings("error")
+def test_table_reader_takes_both_spellings():
+    G, _ = make(FamilySpec("symmetric", (4,)))
+    table = relabelled(np.array(G.op), random.Random(1)).tolist()
+    for text in (
+        json.dumps(table, separators=(",", ":")),
+        json.dumps(table),
+        json.dumps(table) + "\n",
+        " \t\r\n" + json.dumps(table, separators=(",", ":")),
+        json.dumps([[0]]),
+        json.dumps([[12345678901234567, 0], [9223372036854775806, 10]]),
+    ):
+        got = table_from_json(text)
+        assert got is not None, text
+        want = json_table(text)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[01]]",  # np.fromstring reads a leading zero, JSON does not
+        "[[0,1],[1,00]]",
+        "[[+1]]",  # nor a plus sign
+        "[[0,1],[1,+0]]",
+        "[[1,2,]]",  # np.fromstring takes a trailing comma
+        "[[0,1,],[1,0]]",
+        "[[0,1],[1,0],]",
+        "[[02,],[10,10]]",  # the extra digit would make up for the lost value
+        "[[,0,1],[1,0]]",
+        "[[,021],[2,1]]",
+        "[[0,,1],[1,0]]",
+        "[[1,,2],[2,1,0],[0,1,2]]",
+        "[[0,1],[]]",
+        "[[]]",
+        "[[[]]",  # np.fromstring(count=...) makes up values it cannot read
+        "[[0,[],[1,0]]",
+        "[[1[0],[1,0]]",
+        "[[2,2]],[,2]]",
+        "[[99999999999999999999]]",  # np.fromstring clamps it to the int64 maximum
+        "[[9223372036854775808]]",
+        "[[9223372036854775807]]",  # the maximum itself cannot be told from a clamp
+        "[[1]2]",  # bracket counts that add up in a text that is no table
+        "[[1],[2,3]]",
+        "[[1,2],[3]]",
+        "[[0,1,2],[3]]",  # ragged, with n^2 values in all
+        "[[0,[1],[1,0]]",
+        "[[0,1]],[[1,0]]",
+        "[[0, 1],[1,  0]]",  # whitespace other than ", " is left to json.loads
+        "[[0,1] ,[1,0]]",
+        "[[0,1],\n[1,0]]",
+        "[[-0]]",
+        "[[1.0]]",
+        "[[1e0]]",
+        "[[true]]",
+        "[[0,1],[1,0]]\u00a0",
+        "[[\uff10]]",
+    ],
+)
+def test_table_reader_refuses_what_it_cannot_prove(text):
+    assert table_from_json(text) is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_table_reader_checks_the_value_count(monkeypatch):
+    """On numpy < 2, np.fromstring returns what it read so far from text it
+    cannot parse; a short read must never pass as a table."""
+    monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: np.array([0, 1, 1]))
+    assert table_from_json("[[0,1],[1,0]]") is None
+
+
+def test_table_order_cap_is_checked_from_the_row_count():
+    """Neither the reader nor build_from_cayley forms an n^2 array above
+    ORDER_CAP: the text is a skeleton of one-value rows, and the array
+    is a zero-stride view."""
+    skeleton = "[" + ",".join(["[0]"] * (ORDER_CAP + 1)) + "]"
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded, match=f"{ORDER_CAP + 1} rows"):
+            table_from_json(skeleton)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(skeleton)
+    assert table_from_json("[" + ",".join(["[0]"] * ORDER_CAP) + "]") is None  # ragged
+    with pytest.raises(OrderCapExceeded):
+        build_from_cayley(np.broadcast_to(np.int32(0), (ORDER_CAP + 1, ORDER_CAP + 1)))
+
+
+@st.composite
+def table_texts(draw):
+    """JSON texts of square and ragged integer tables, compact or with the
+    json.dumps separators, each with at most one byte changed, put in or
+    taken out."""
+    n = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(0, 12), st.integers(-3, 3), st.integers(2**62, 2**65))
+    rows = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = draw(st.lists(value, max_size=n + 1))
+    text = json.dumps(rows, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    at = draw(st.integers(0, len(text)))
+    byte = draw(st.sampled_from(list("0123456789[],-+. \n")))
+    edit = draw(st.sampled_from(["keep", "replace", "insert", "delete"]))
+    if edit == "replace":
+        text = text[:at] + byte + text[at + 1:]
+    elif edit == "insert":
+        text = text[:at] + byte + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1:]
+    return text
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(table_texts())
+@example("[[0,1],[1,0]]")
+@example("[[0, 1], [1, 0]]")
+@example("[[0,1],[1,0 ]]")
+@example("[[0,1],[1,0],[2,]]")
+def test_table_reader_agrees_with_json(text):
+    got = table_from_json(text)
+    if got is not None:
+        want = json_table(text)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_prime_power_against_trial_factorization():
