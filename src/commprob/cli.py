@@ -10,6 +10,7 @@ with --open / --closed-left / --closed-right modifiers. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -132,7 +133,15 @@ def _add_survey_flags(p: argparse.ArgumentParser):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Every call returns the same shared parser, which :func:`main` uses
+    too, so callers must not mutate it (add arguments, change defaults).
+    Parsing does not change it: each ``parse_args`` call fills a new
+    namespace. ``build_parser.__wrapped__()`` builds a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="commprob",
         description="Exact commuting probabilities, unit-fraction spectra and gap certificates.",

@@ -39,7 +39,7 @@ from .rationals import format_rational
 # A search that uses it all fails after 13-20 s on a two-core x86 host.
 # It also bounds the denominators one solve may try: nearly 200 times the
 # 40 779 of the costliest benchmark solve, 4 terms summing to 2/11; the
-# 20.4 M of solve_exact(5, 1/5) pass it after about 1.5 s on that host.
+# 20.4 M of solve_exact(5, 1/5) pass it after 0.4-0.9 s on that host.
 SEARCH_BUDGET = 8_000_000
 
 
@@ -54,6 +54,14 @@ class UnitFractionMultiset:
             raise ValueError("terms must be positive integers")
         if any(a < b for a, b in zip(self.terms, self.terms[1:])):
             raise ValueError("terms must be non-increasing")
+
+    @classmethod
+    def _unchecked(cls, terms: tuple[int, ...]) -> UnitFractionMultiset:
+        """A multiset of terms the caller knows to be positive ints in
+        non-increasing order, built without checking each term."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "terms", terms)
+        return m
 
     @property
     def value(self) -> Fraction:
@@ -147,43 +155,41 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
                 f"{SEARCH_BUDGET} denominators"
             )
 
-    def solve(k: int, rem: Fraction, lo: int, prefix: tuple[int, ...]) -> None:
+    def solve(k: int, a: int, b: int, lo: int, chosen: tuple[int, ...]) -> None:
+        # the remainder is a/b in lowest terms, in plain integers; chosen
+        # holds the denominators taken so far, the largest first
         if k == 1:
             spend(1)
-            if rem.numerator == 1 and rem.denominator >= lo:
-                found.append(prefix + (rem.denominator,))
+            if a == 1 and b >= lo:
+                found.append((b,) + chosen)
             return
-        if rem <= 0:
+        if a == 0:
             return
         if k == 2:
-            # same bounded loop, in plain integers: 1/x + 1/y = a/b with
-            # x <= y forces b/a < x <= 2b/a and y = bx/(ax - b)
-            a, b = rem.numerator, rem.denominator
-            xs = range(max(lo, b // a + 1), 2 * b // a + 1)
-            spend(len(xs))
-            for x in xs:
-                t = a * x - b
-                num = b * x
-                if num % t == 0:
-                    y = num // t
-                    if y >= x:
-                        found.append(prefix + (x, y))
+            # 1/x + 1/y = a/b with x <= y forces b/a < x <= 2b/a, and
+            # (ax - b)(ay - b) = b^2: each x with t = ax - b dividing b^2
+            # is a solution, as a and b are coprime, so a divides b^2/t + b
+            x0 = max(lo, b // a + 1)
+            spend(max(0, 2 * b // a + 1 - x0))
+            bb = b * b
+            found.extend(
+                ((bb // t + b) // a, (t + b) // a) + chosen
+                for t in range(a * x0 - b, b + 1, a)
+                if bb % t == 0
+            )
             return
         # the largest remaining fraction 1/d satisfies rem/k <= 1/d <= rem
-        ds = range(
-            max(lo, -(-rem.denominator // rem.numerator)),
-            (k * rem.denominator) // rem.numerator + 1,
-        )
+        ds = range(max(lo, -(-b // a)), (k * b) // a + 1)
         spend(len(ds))
         for d in ds:
-            solve(k - 1, rem - Fraction(1, d), d, prefix + (d,))
+            num, den = a * d - b, b * d
+            g = gcd(num, den)
+            solve(k - 1, num // g, den // g, d, (d,) + chosen)
 
     if q > 0:
-        solve(n, q, 1, ())
-    return [
-        UnitFractionMultiset(t)
-        for t in sorted(tuple(reversed(asc)) for asc in found)
-    ]
+        solve(n, q.numerator, q.denominator, 1, ())
+    # every tuple holds positive ints in non-increasing order by construction
+    return [UnitFractionMultiset._unchecked(t) for t in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

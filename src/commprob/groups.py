@@ -475,12 +475,17 @@ def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> Grou
         op[op == e] = 0
         op[was_zero] = e
 
-    # a row (column) is a permutation iff it sorts to 0..n-1; only the first
-    # bad one is searched for its first repeated cell
+    # a row (column) is a permutation iff it sorts to 0..n-1. Rows, then
+    # columns, are sorted a block of about 2^20 cells at a time, so no n^2
+    # copy is formed; only the first bad one is searched for its first
+    # repeated cell.
+    step = max(1, _BLOCK_CELLS // n)
     for axis, view in ((0, op), (1, op.T)):
-        bad = np.flatnonzero((np.sort(view, axis=1) != idx).any(axis=1))
-        if bad.size:
-            i = int(bad[0])
+        for lo in range(0, n, step):
+            bad = np.flatnonzero((np.sort(view[lo:lo + step], axis=1) != idx).any(axis=1))
+            if not bad.size:
+                continue
+            i = lo + int(bad[0])
             firsts = np.zeros(n, dtype=bool)
             firsts[np.unique(view[i], return_index=True)[1]] = True
             j = int(np.argmin(firsts))
@@ -816,23 +821,33 @@ def is_normal(G: GroupTable, H: Subgroup | Sequence[int]) -> bool:
 def normal_subgroups(G: GroupTable) -> list[Subgroup]:
     """All normal subgroups (order at most ``SUBGROUP_CUTOFF``), as the
     class-closed unions reached by joining the subgroups generated by
-    single classes (far smaller search space than all subgroups)."""
+    single classes (far smaller search space than all subgroups).
+
+    The join of a normal N with an atom A is the product NA, the union of
+    the cosets Na over a in A, so it is marked coset by coset, with no
+    closure: one coset per element of A that NA does not yet cover."""
     if G.order > SUBGROUP_CUTOFF:
         raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {SUBGROUP_CUTOFF}")
-    spans = (_span(G.op, cls) for cls in conjugacy_classes(G).classes)
-    atom_list = list({a.tobytes(): a for a in spans}.values())
-    trivial = np.asarray([0], dtype=_DTYPE)
-    found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}
+    op = G.op
+    spans = (_span(op, cls) for cls in conjugacy_classes(G).classes)
+    atom_list = [a.tolist() for a in {a.tobytes(): a for a in spans}.values()]
+    trivial = np.zeros(G.order, dtype=bool)
+    trivial[0] = True
+    found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}  # by member mask
     work = [trivial]
     while work:
-        base = work.pop()
+        in_base = work.pop()
+        base = np.flatnonzero(in_base)
         for atom in atom_list:
-            joined = _span(G.op, np.concatenate([base, atom]))
-            key = joined.tobytes()
+            mask = in_base.copy()
+            for a in atom:
+                if not mask[a]:
+                    mask[op[base, a]] = True
+            key = mask.tobytes()
             if key not in found:
-                found[key] = joined
-                work.append(joined)
-    subs = sorted(found.values(), key=lambda m: (m.size, tuple(m)))
+                found[key] = mask
+                work.append(mask)
+    subs = sorted(map(np.flatnonzero, found.values()), key=lambda m: (m.size, tuple(m)))
     return [Subgroup(G, tuple(int(v) for v in m)) for m in subs]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -399,6 +400,81 @@ def test_ignored_survey_flags_still_parse():
                  ["scan", "--corpus", "1", "--interval", "0..1"]):
         args = parser.parse_args(argv + ["--cache-dir", "d", "--jobs", "4"])
         assert args.cache_dir == "d" and args.jobs == 4
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# One process, one parser: a usage error, then commands that read
+# different subcommands and flags, in an order that would show any value
+# carried over from the call before.
+_MIXED = [
+    ["pr", "--family", "dihedral", "--params", "4", "--json", "--csv"],
+    ["pr", "--family", "dihedral", "--params", "4", "--bounds", "--json"],
+    ["pr", "--family", "symmetric", "--params", "3", "--csv"],
+    ["egyptian", "gap", "--terms", "3", "--below", "1/2"],
+    ["spectrum", "gap", "--index", "2", "--at", "1/2"],
+    ["survey", "--corpus", "8", "--json"],
+    ["pr", "--perms", "(1 2 3)", "(1 2)", "--degree", "3"],
+]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """After the first ``main`` call no later call constructs a parser."""
+    _call(capsys, ["egyptian", "gap", "--terms", "2", "--below", "1/2"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in _MIXED:
+        _call(capsys, argv)
+    assert built == []
+    assert commprob.cli.build_parser() is commprob.cli.build_parser()
+    commprob.cli.build_parser.__wrapped__()  # the counter does see a build
+    assert built
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
+    """Each call through the shared parser prints and exits exactly as
+    the same call through a parser built for it alone."""
+    commprob.cli.build_parser()
+    shared = [_call(capsys, argv) for argv in _MIXED]
+    monkeypatch.setattr(commprob.cli, "build_parser",
+                        commprob.cli.build_parser.__wrapped__)
+    fresh = [_call(capsys, argv) for argv in _MIXED]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert "not allowed with argument --json" in shared[0][2]
+    assert shared == fresh
+
+
+def test_no_flag_value_leaks_into_the_next_call(capsys):
+    parser = commprob.cli.build_parser()
+    parser.parse_args(["pr", "--family", "dihedral", "--params", "4", "--bounds",
+                       "--json"])
+    parser.parse_args(["egyptian", "gap", "--terms", "2", "--below", "1/2"])
+    parser.parse_args(["scan", "--corpus", "8", "--interval", "0..1", "--jobs", "3"])
+    argv = ["pr", "--perms", "(1 2 3)", "--degree", "3"]
+    args = parser.parse_args(argv)
+    assert vars(args) == vars(commprob.cli.build_parser.__wrapped__().parse_args(argv))
+    assert args.family is None and args.params is None and not args.bounds
+    assert not args.json and not hasattr(args, "egyptian_command")
+    assert parser.parse_args(["survey", "--corpus", "8"]).jobs == 1
+    # a --family left over from the call before would make --perms a usage error
+    assert _call(capsys, ["pr", "--family", "dihedral", "--params", "4",
+                          "--bounds"])[0] == 0
+    assert _call(capsys, ["pr", "--perms", "(1 2 3)", "(1 2)", "--degree", "3"]) == (
+        0, "1/2\n", "")
 
 
 # Outputs pinned byte for byte; a change here changes what users see.

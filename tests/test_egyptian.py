@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commprob import egyptian
 from commprob.egyptian import (
     GapCertificate,
     UnitFractionMultiset,
@@ -25,7 +26,7 @@ from commprob.egyptian import (
     max_below,
     solve_exact,
 )
-from commprob.errors import NoElementBelow
+from commprob.errors import NoElementBelow, SearchBudgetExceeded
 
 
 def interval_has_sum(n: int, lo: Fraction, hi: Fraction, min_den: int = 1) -> bool:
@@ -98,6 +99,43 @@ def test_solver_two_term_against_naive():
 def test_solver_output_sorted_lex():
     sols = [m.terms for m in solve_exact(3, Fraction(1, 2))]
     assert sols == sorted(sols)
+
+
+def fraction_solutions(n: int, q: Fraction, lo: int = 1) -> list[tuple[int, ...]]:
+    """All non-decreasing n-tuples from lo up with unit fractions summing
+    to q, by a plain Fraction recursion over the largest remaining term."""
+    if n == 1:
+        return [(q.denominator,)] if q.numerator == 1 and q.denominator >= lo else []
+    out: list[tuple[int, ...]] = []
+    if q <= 0:
+        return out
+    d = max(lo, -(-q.denominator // q.numerator))
+    while Fraction(n, d) >= q:
+        out += [(d,) + rest for rest in fraction_solutions(n - 1, q - Fraction(1, d), d)]
+        d += 1
+    return out
+
+
+def test_solver_matches_a_fraction_recursion():
+    # the solver keeps each two-term x with ax - b dividing b^2 for the
+    # remainder a/b; here every admissible denominator is tried instead
+    for n, max_den in ((1, 12), (2, 12), (3, 12), (4, 7)):
+        for b in range(1, max_den + 1):
+            for a in range(1, 2 * b + 1):
+                q = Fraction(a, b)
+                want = sorted(t[::-1] for t in fraction_solutions(n, q))
+                got = solve_exact(n, q)
+                assert [m.terms for m in got] == want, (n, q)
+                assert got == [UnitFractionMultiset(m.terms) for m in got]
+
+
+def test_solve_budget_counts_each_denominator_tried(monkeypatch):
+    # 4 terms summing to 2/11 try exactly 40 779 denominators
+    monkeypatch.setattr(egyptian, "SEARCH_BUDGET", 40_779)
+    assert len(solve_exact(4, Fraction(2, 11))) == 1308
+    monkeypatch.setattr(egyptian, "SEARCH_BUDGET", 40_778)
+    with pytest.raises(SearchBudgetExceeded, match="4-term solve of 2/11"):
+        solve_exact(4, Fraction(2, 11))
 
 
 # ---------------------------------------------------------------------------

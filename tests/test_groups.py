@@ -27,7 +27,7 @@ from commprob.errors import (
     OrderCapExceeded,
     UnsupportedParams,
 )
-from commprob.families import FamilySpec, make
+from commprob.families import FamilySpec, corpus, make
 from commprob.groups import (
     ORDER_CAP,
     GroupTable,
@@ -51,6 +51,7 @@ from commprob.groups import (
     is_nilpotent,
     is_normal,
     normal_core,
+    normal_subgroups,
     orbit_count_on_normal,
     parse_cycles,
     prime_power,
@@ -162,6 +163,67 @@ def test_validation_errors_name_cells():
             ]
         )
     assert e.value.cell is not None
+
+
+def _first_repeat(lines):
+    """(line, position) of the first value seen twice along some line."""
+    for i, line in enumerate(lines):
+        seen = set()
+        for j, v in enumerate(line):
+            if v in seen:
+                return i, j
+            seen.add(v)
+    return None
+
+
+def _cyclic_table(n):
+    a = np.arange(n, dtype=np.int32)
+    return (a[:, None] + a[None, :]) % n
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a repeat in row 1050, after the first block of rows; column 7
+        # of the first block breaks too, but rows are checked first
+        (("copy", 1050, 7, 8), "row 1050 repeats a value at column 8"),
+        # rows stay Latin; columns 1000 and 1040, both after the first
+        # block of columns, repeat a value
+        (("swap", 3, 1000, 1040), "column 1000 repeats a value at row 43"),
+    ],
+)
+def test_latin_check_names_the_first_bad_cell_past_one_block(edit, message):
+    """Above 2^20 cells the Latin check runs in blocks and still names
+    the first bad row (else column) and the first repeat in it, the cell
+    a plain scan of rows and then columns finds."""
+    kind, r, j1, j2 = edit
+    op = _cyclic_table(1100)  # 953 rows or columns to a block
+    if kind == "copy":
+        op[r, j1] = op[r, j2]
+    else:
+        op[r, [j1, j2]] = op[r, [j2, j1]]
+    rows = op.tolist()
+    cell = _first_repeat(rows)
+    if cell is None:
+        j, i = _first_repeat([list(c) for c in zip(*rows)])
+        cell = (i, j)
+    with pytest.raises(NotLatinSquare) as e:
+        build_from_cayley(op)
+    assert str(e.value) == message and e.value.cell == cell
+
+
+def test_cayley_build_memory_has_no_second_table():
+    """Validating an order-2048 table holds the int32 table and blocks of
+    about 2^20 cells, never a sorted n^2 copy of its rows or columns."""
+    table = _cyclic_table(2048)
+    tracemalloc.start()
+    try:
+        G = build_from_cayley(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 2048 and G.validation == "full"
+    assert peak <= G.op.nbytes + 12 * 2**20
 
 
 def test_closure_of_transposition_and_3cycle():
@@ -525,6 +587,14 @@ def test_normal_subgroups(named, normals_of, subgroups_of):
     s4 = named["s4"]
     expected = {frozenset(s.members) for s in subgroups_of(s4) if is_normal(s4, s)}
     assert {frozenset(N.members) for N in normals_of(s4)} == expected
+
+
+def test_normal_subgroups_are_the_normal_ones_of_all_subgroups():
+    """On every group of order at most 32, the product-set joins give
+    exactly ``all_subgroups`` filtered by ``is_normal``, in its order."""
+    for G, spec in corpus(32):
+        expected = [s.members for s in all_subgroups(G) if is_normal(G, s)]
+        assert [N.members for N in normal_subgroups(G)] == expected, spec
 
 
 def test_normal_core(named, subgroups_of):
