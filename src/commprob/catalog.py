@@ -9,15 +9,13 @@ value spectrum with witnesses, and scans ask whether any observed value
 lies in a given interval.
 
 Surveys run their entries one after another in catalog order, so a
-report is deterministic (the elapsed time is excluded from the
-canonical serialization).
+report, and each of its serializations, is deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -306,9 +304,8 @@ class SurveyReport:
     rows: tuple[SurveyRow, ...]
     spectrum: tuple[tuple[Fraction, tuple[str, ...]], ...]
     universe: str
-    elapsed_s: float = 0.0
 
-    def to_json(self, *, include_stats: bool = False) -> str:
+    def to_json(self) -> str:
         data = {
             "universe": self.universe,
             "rows": [r.to_json_dict() for r in self.rows],
@@ -317,8 +314,6 @@ class SurveyReport:
                 for v, names in self.spectrum
             ],
         }
-        if include_stats:
-            data["stats"] = {"elapsed_s": self.elapsed_s}
         return json.dumps(data, indent=2)
 
     def to_csv(self) -> str:
@@ -379,7 +374,6 @@ def survey(
     the report, FAILED rows are always kept.
     """
     entries = list(entries)
-    start = time.perf_counter()
     rows = [
         row
         for row in map(_compute_row, entries)
@@ -396,12 +390,7 @@ def survey(
     desc = universe or f"{len(entries)} catalog entries"
     if flt is not None:
         desc += f"; filter: {flt.describe()}"
-    return SurveyReport(
-        rows=tuple(rows),
-        spectrum=spectrum,
-        universe=desc,
-        elapsed_s=time.perf_counter() - start,
-    )
+    return SurveyReport(rows=tuple(rows), spectrum=spectrum, universe=desc)
 
 
 # ---------------------------------------------------------------------------

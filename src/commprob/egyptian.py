@@ -21,12 +21,15 @@ The last term needs no loop: it is the smallest admissible x with
 1/x < l - acc. A new best is kept only when strictly greater, so among
 equal sums the first one met in the search order is the witness. The
 search runs in plain integers and gives up with SearchBudgetExceeded
-once it has visited more than SEARCH_BUDGET nodes. The certificates are
-re-checked by an independent interval scan in the test suite.
+once it has visited more than SEARCH_BUDGET nodes, or before its first
+node when its n nested calls would pass the interpreter's recursion
+limit. The certificates are re-checked by an independent interval scan
+in the test suite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -124,6 +127,24 @@ class SpectrumQuery:
         return out
 
 
+def _check_depth(depth: int, what: str) -> None:
+    """Raise ``SearchBudgetExceeded`` for ``what`` if a walk that nests
+    ``depth`` calls would pass the interpreter's recursion limit.
+
+    The frames in use are counted, and as many again are kept free for
+    the caller and for what the deepest node calls; ``what`` is formatted
+    before the walk, so a node reports a spent budget without calling
+    into Python."""
+    frame, used = sys._getframe(), 0
+    while frame is not None:
+        frame, used = frame.f_back, used + 1
+    limit = sys.getrecursionlimit()
+    if depth + 2 * used > limit:
+        raise SearchBudgetExceeded(
+            f"{what} would nest {depth} calls deep, past the recursion limit of {limit}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # exact equation solving
 # ---------------------------------------------------------------------------
@@ -138,11 +159,13 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
     Cost warning: the number of denominators tried grows quickly with n
     and as q shrinks (``solve_exact(5, 1/5)`` finds 118 995 solutions).
     A solve that would try more than ``SEARCH_BUDGET`` denominators
-    raises ``SearchBudgetExceeded`` before it tries them.
+    raises ``SearchBudgetExceeded`` before it tries them, and so does one
+    whose nesting, one call per term, would pass the recursion limit.
     """
     if n < 1:
         raise ValueError("term count must be >= 1")
     q = Fraction(q)
+    what = f"{n}-term solve of {format_rational(q)}"
     found: list[tuple[int, ...]] = []
     tried = 0
 
@@ -151,8 +174,7 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
         tried += count
         if tried > SEARCH_BUDGET:
             raise SearchBudgetExceeded(
-                f"{n}-term solve of {format_rational(q)} passed its budget of "
-                f"{SEARCH_BUDGET} denominators"
+                f"{what} passed its budget of {SEARCH_BUDGET} denominators"
             )
 
     def solve(k: int, a: int, b: int, lo: int, chosen: tuple[int, ...]) -> None:
@@ -186,7 +208,8 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
             g = gcd(num, den)
             solve(k - 1, num // g, den // g, d, (d,) + chosen)
 
-    if q > 0:
+    if 0 < q <= n:  # above n no denominator is admissible
+        _check_depth(n, what)
         solve(n, q.numerator, q.denominator, 1, ())
     # every tuple holds positive ints in non-increasing order by construction
     return [UnitFractionMultiset._unchecked(t) for t in sorted(found)]
@@ -204,6 +227,8 @@ def _search(n: int, l: Fraction) -> tuple[Fraction, tuple[int, ...], int]:
     and the best sum so far by its residual c/d, so the cut
     acc + k/x <= best reads k/x <= a/b - c/d.
     """
+    what = f"{n}-term gap search below {format_rational(l)}"
+    _check_depth(n, what)
     c, d = l.numerator, l.denominator  # the empty sum
     best_wit: tuple[int, ...] = ()
     stack: list[int] = []
@@ -214,8 +239,7 @@ def _search(n: int, l: Fraction) -> tuple[Fraction, tuple[int, ...], int]:
         nodes += 1
         if nodes > SEARCH_BUDGET:
             raise SearchBudgetExceeded(
-                f"{n}-term gap search below {format_rational(l)} passed its "
-                f"budget of {SEARCH_BUDGET} nodes"
+                f"{what} passed its budget of {SEARCH_BUDGET} nodes"
             )
         x = max(lo, b // a + 1)  # the smallest admissible x with 1/x < a/b
         if k == 1:
@@ -245,7 +269,9 @@ def max_below(n: int, l) -> GapCertificate:
     for most probes with up to four terms, but the node count still grows
     with the term count and as the probe shrinks (``max_below(4, 1/11)``
     visits 244 167 nodes). A search that passes ``SEARCH_BUDGET`` nodes
-    raises ``SearchBudgetExceeded`` instead of running on.
+    raises ``SearchBudgetExceeded`` instead of running on, and one whose
+    nesting, one call per term, would pass the recursion limit raises it
+    before its first node.
     """
     if n < 1:
         raise ValueError("term count must be >= 1")

@@ -88,7 +88,7 @@ def cyclic_table(n: int) -> GroupTable:
     idx = np.arange(n, dtype=_DTYPE)
     op = (idx[:, None] + idx[None, :]) % n
     inv = (-idx) % n
-    return GroupTable(order=n, op=op.astype(_DTYPE), inv=inv.astype(_DTYPE), name=f"C{n}")
+    return GroupTable(op=op.astype(_DTYPE), inv=inv.astype(_DTYPE), name=f"C{n}")
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -132,7 +132,7 @@ def dicyclic_table(m: int) -> GroupTable:
     i, j = a_exp[:, None], b_exp[:, None]  # the left factor a^i b^j
     k, l = a_exp[None, :], b_exp[None, :]  # the right factor a^k b^l
     op = (i + (1 - 2 * j) * k + m * j * l) % two_m + two_m * (j ^ l)
-    return GroupTable(order=order, op=op, inv=_inverses(op), name=f"Dic{m}")
+    return GroupTable(op=op, inv=_inverses(op), name=f"Dic{m}")
 
 
 def heisenberg_table(p: int, s: int) -> GroupTable:
@@ -164,7 +164,7 @@ def heisenberg_table(p: int, s: int) -> GroupTable:
         for t in range(1, 2 * s + 1):
             acc += (digits[t, lo:lo + step, None] + digits[t]) % p * p**t
         op[lo:lo + step] = acc
-    return GroupTable(order=order, op=op, inv=_inverses(op), name=f"ES{p}_{s}")
+    return GroupTable(op=op, inv=_inverses(op), name=f"ES{p}_{s}")
 
 
 def central_product(

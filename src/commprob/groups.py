@@ -25,8 +25,10 @@ The same greedy generators validate a Cayley table exactly, at every
 order: associativity by Light's test, (xs)y = x(sy) for each generator s
 only (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
 in O(n^2 log n) time, and inverses are found a block of rows at a time.
-A member set is checked to be a subgroup the same way, on a generating
-set of its own.
+A member set becomes a ``Subgroup`` only if the subgroup that its
+members generate, by the same greedy closure, is no larger than the set;
+the structural operations take such a ``Subgroup``, never a raw member
+list.
 
 Conventions fixed once for the whole library:
 
@@ -98,7 +100,6 @@ class GroupTable:
     construction).
     """
 
-    order: int
     op: np.ndarray
     inv: np.ndarray
     name: str = ""
@@ -107,6 +108,10 @@ class GroupTable:
     def __post_init__(self):
         self.op.setflags(write=False)
         self.inv.setflags(write=False)
+
+    @property
+    def order(self) -> int:
+        return self.op.shape[0]
 
     def mul(self, x: int, y: int) -> int:
         return int(self.op[x, y])
@@ -144,27 +149,17 @@ class Subgroup:
         if not mem or mem[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
         n = self.parent.order
-        if self.parent.order % len(mem) != 0:
+        if n % len(mem) != 0:
             raise ValueError(
                 f"subgroup size {len(mem)} does not divide group order {n}"
             )
-        # H is closed once Hs lies in H for each s of a generating set of H:
-        # pick s greedily outside the subgroup K generated so far, check Hs,
-        # and grow K inside H through the picks' right-multiplication maps,
-        # taken as positions in H. Each pick at least doubles K, so this
-        # reads |H| cells per pick for at most log2|H| + 1 picks.
-        arr = np.asarray(mem, dtype=_DTYPE)
-        position = {m: i for i, m in enumerate(mem)}
-        in_k = [True] + [False] * (len(mem) - 1)
-        right: list[list[int]] = []
-        size = p = 1
-        while size < len(mem):
-            p = in_k.index(False, p)
-            col = [position.get(y, -1) for y in self.parent.op[arr, mem[p]].tolist()]
-            if -1 in col:
-                raise ValueError("member set is not closed under the group operation")
-            right.append(col)
-            size += len(_extend(right, in_k))
+        # a set holding the identity is closed exactly when the subgroup it
+        # generates is no larger; :func:`_generate` picks at most
+        # log2|H| + 1 of its members when it is
+        seen = [True] + [False] * (n - 1)
+        _generate(self.parent.op, mem, [], seen)
+        if seen.count(True) != len(mem):
+            raise ValueError("member set is not closed under the group operation")
 
     @property
     def order(self) -> int:
@@ -494,7 +489,7 @@ def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> Grou
             raise NotLatinSquare(f"column {i} repeats a value at row {j}", cell=(j, i))
 
     _check_associativity(op)
-    return GroupTable(order=n, op=op, inv=_inverses(op), name=name, validation="full")
+    return GroupTable(op=op, inv=_inverses(op), name=name, validation="full")
 
 
 def build_from_permutations(
@@ -562,7 +557,7 @@ def build_from_permutations(
         k, h = parent[i]
         # indices are in range; "clip" skips the buffered copy of "raise"
         np.take(op[k], left[h], out=op[i], mode="clip")
-    return GroupTable(order=n, op=op, inv=_inverses(op), name=name)
+    return GroupTable(op=op, inv=_inverses(op), name=name)
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -576,7 +571,7 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     ).reshape(n, n)
     inv = (a.inv[:, None].astype(_DTYPE) * b.order + b.inv[None, :]).reshape(n)
     name = f"{a.name or 'A'}x{b.name or 'B'}"
-    return GroupTable(order=n, op=op, inv=inv, name=name)
+    return GroupTable(op=op, inv=inv, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +681,14 @@ def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgro
     return Subgroup(G, tuple(_span(G.op, gens).tolist()))
 
 
-def subgroup_table(G: GroupTable, sub: Subgroup | Sequence[int]) -> GroupTable:
+def subgroup_table(G: GroupTable, sub: Subgroup) -> GroupTable:
     """The member set of ``sub`` as a group in its own right (identity first)."""
-    members = np.asarray(
-        sub.members if isinstance(sub, Subgroup) else sorted(sub), dtype=_DTYPE
-    )
-    pos = np.full(G.order, -1, dtype=_DTYPE)
+    members = np.asarray(sub.members, dtype=_DTYPE)
+    pos = np.zeros(G.order, dtype=_DTYPE)
     pos[members] = np.arange(len(members), dtype=_DTYPE)
     op = pos[G.op[np.ix_(members, members)]]
-    if (op < 0).any():
-        raise ValueError("member set is not closed")
     inv = pos[G.inv[members]]
-    return GroupTable(
-        order=len(members), op=op, inv=inv, name=f"{G.name}|sub{len(members)}"
-    )
+    return GroupTable(op=op, inv=inv, name=f"{G.name}|sub{len(members)}")
 
 
 def _conjugates(G: GroupTable, xs, by) -> np.ndarray:
@@ -808,14 +797,38 @@ def derived_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(G, tuple(members.tolist()))
 
 
-def is_normal(G: GroupTable, H: Subgroup | Sequence[int]) -> bool:
+def is_normal(G: GroupTable, H: Subgroup) -> bool:
     """Whether H^s lies in H for every generator s of G."""
-    members = np.asarray(
-        H.members if isinstance(H, Subgroup) else sorted(H), dtype=_DTYPE
-    )
     mask = np.zeros(G.order, dtype=bool)
-    mask[members] = True
-    return bool(mask[_conjugates(G, members, G.generators)].all())
+    mask[list(H.members)] = True
+    return bool(mask[_conjugates(G, H.members, G.generators)].all())
+
+
+def _check_cutoff(G: GroupTable) -> None:
+    """Refuse an enumeration above ``SUBGROUP_CUTOFF``, before it starts."""
+    if G.order > SUBGROUP_CUTOFF:
+        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {SUBGROUP_CUTOFF}")
+
+
+def _lattice(G: GroupTable, grow) -> list[Subgroup]:
+    """The subgroups reached from the trivial one by ``grow``, sorted by
+    (order, members).
+
+    Subgroups are boolean member masks, keyed by their bytes: ``grow``
+    maps the mask of a subgroup found to the masks of larger ones, and
+    each new mask is grown in its turn.
+    """
+    trivial = np.arange(G.order) == 0
+    found = {trivial.tobytes(): trivial}
+    work = [trivial]
+    while work:
+        for mask in grow(work.pop()):
+            key = mask.tobytes()
+            if key not in found:
+                found[key] = mask
+                work.append(mask)
+    subs = sorted(map(np.flatnonzero, found.values()), key=lambda m: (m.size, tuple(m)))
+    return [Subgroup(G, tuple(m.tolist())) for m in subs]
 
 
 def normal_subgroups(G: GroupTable) -> list[Subgroup]:
@@ -826,29 +839,21 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
     The join of a normal N with an atom A is the product NA, the union of
     the cosets Na over a in A, so it is marked coset by coset, with no
     closure: one coset per element of A that NA does not yet cover."""
-    if G.order > SUBGROUP_CUTOFF:
-        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {SUBGROUP_CUTOFF}")
+    _check_cutoff(G)
     op = G.op
     spans = (_span(op, cls) for cls in conjugacy_classes(G).classes)
     atom_list = [a.tolist() for a in {a.tobytes(): a for a in spans}.values()]
-    trivial = np.zeros(G.order, dtype=bool)
-    trivial[0] = True
-    found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}  # by member mask
-    work = [trivial]
-    while work:
-        in_base = work.pop()
+
+    def joins(in_base: np.ndarray) -> Iterator[np.ndarray]:
         base = np.flatnonzero(in_base)
         for atom in atom_list:
             mask = in_base.copy()
             for a in atom:
                 if not mask[a]:
                     mask[op[base, a]] = True
-            key = mask.tobytes()
-            if key not in found:
-                found[key] = mask
-                work.append(mask)
-    subs = sorted(map(np.flatnonzero, found.values()), key=lambda m: (m.size, tuple(m)))
-    return [Subgroup(G, tuple(int(v) for v in m)) for m in subs]
+            yield mask
+
+    return _lattice(G, joins)
 
 
 def all_subgroups(G: GroupTable) -> list[Subgroup]:
@@ -859,32 +864,20 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     tried. Every subgroup is reachable through a chain of single-element
     extensions, so the list is complete (including perfect subgroups).
     """
-    if G.order > SUBGROUP_CUTOFF:
-        raise OrderCapExceeded(f"order {G.order} exceeds enumeration cutoff {SUBGROUP_CUTOFF}")
-    n = G.order
+    _check_cutoff(G)
     op = G.op
-    trivial = np.asarray([0], dtype=_DTYPE)
-    found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}
-    queue = [trivial]
-    head = 0
-    while head < len(queue):
-        H = queue[head]
-        head += 1
-        if H.size == n:
-            continue
-        covered = np.zeros(n, dtype=bool)
-        covered[H] = True
-        for x in range(n):
-            if covered[x]:
-                continue
-            covered[op[H, x]] = True
-            J = _span(op, np.concatenate([H, [x]]))
-            key = J.tobytes()
-            if key not in found:
-                found[key] = J
-                queue.append(J)
-    subs = sorted(found.values(), key=lambda m: (m.size, tuple(m)))
-    return [Subgroup(G, tuple(int(v) for v in m)) for m in subs]
+
+    def extensions(in_h: np.ndarray) -> Iterator[np.ndarray]:
+        members = np.flatnonzero(in_h)
+        covered = in_h.copy()
+        for x in np.flatnonzero(~in_h).tolist():
+            if not covered[x]:
+                covered[op[members, x]] = True
+                seen = [True] + [False] * (G.order - 1)
+                _generate(op, np.append(members, x), [], seen)
+                yield np.asarray(seen)
+
+    return _lattice(G, extensions)
 
 
 def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
@@ -898,9 +891,7 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     coset_of, reps = _cosets(G, N.members)
     q_op = coset_of[G.op[np.ix_(reps, reps)]]
     q_inv = coset_of[G.inv[reps]]
-    return GroupTable(
-        order=len(reps), op=q_op, inv=q_inv, name=f"{G.name or 'G'}/N{N.order}"
-    )
+    return GroupTable(op=q_op, inv=q_inv, name=f"{G.name or 'G'}/N{N.order}")
 
 
 def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:

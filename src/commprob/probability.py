@@ -58,13 +58,6 @@ def pr_by_classes(G: GroupTable) -> Fraction:
     return Fraction(conjugacy_classes(G).count, G.order)
 
 
-def pr_of_members(G: GroupTable, members) -> Fraction:
-    """Pr of a closed member set, without building its own table."""
-    m = np.asarray(sorted(members), dtype=_DTYPE)
-    block = G.op[np.ix_(m, m)]
-    return Fraction(int((block == block.T).sum()), len(m) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # tiny-group fingerprints
 #

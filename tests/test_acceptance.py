@@ -42,7 +42,6 @@ from commprob.probability import (
     erdos_turan_holds,
     pr_by_classes,
     pr_direct,
-    pr_of_members,
     verify_special_forms,
 )
 
@@ -281,10 +280,10 @@ def test_07_bound_suite(corpus128, corpus64, subgroups_of, normals_of):
         for table, spec in corpus64:
             pr = pr_direct(table)
             for H in subgroups_of(table):
-                assert pr_of_members(table, H.members) >= pr, spec.name
+                assert pr_direct(subgroup_table(table, H)) >= pr, spec.name
             for N in normals_of(table):
                 quot_pr = pr_direct(quotient(table, N))
-                assert pr <= pr_of_members(table, N.members) * quot_pr, spec.name
+                assert pr <= pr_direct(subgroup_table(table, N)) * quot_pr, spec.name
 
 
 def test_08_unit_fraction_solver():
@@ -340,7 +339,7 @@ def test_10_candidate_spectrum(corpus128):
         for table, spec in corpus128:
             halves = [
                 H for H in index_two_subgroups(table)
-                if pr_of_members(table, H.members) == 1
+                if pr_direct(subgroup_table(table, H)) == 1
             ]
             if not halves:
                 continue

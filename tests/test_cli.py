@@ -346,6 +346,22 @@ def test_solve_budget_exit_1(capsys, monkeypatch):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv", [
+    ("egyptian", "gap", "--terms", "1200", "--below", "1000"),
+    ("egyptian", "solve", "--terms", "1200", "--target", "1000"),
+    ("egyptian", "limit-point", "--terms", "1300", "--value", "1100"),
+    ("spectrum", "gap", "--index", "60", "--at", "1/2"),  # 3 599 terms
+])
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_deep_term_counts_are_domain_errors(argv, tmp_path):
+    """A walk nested deeper than the recursion limit allows is refused
+    with an error line, not a RecursionError traceback."""
+    done = _run_limited(*argv, cwd=tmp_path)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "recursion limit" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_decompose_bad_subgroup_is_domain_error(capsys):
     # a non-normal order-2 subgroup of S3 cannot anchor a decomposition
     code, _, err = run(

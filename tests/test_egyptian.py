@@ -10,6 +10,7 @@ recursion it audits.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,22 @@ def test_solve_budget_counts_each_denominator_tried(monkeypatch):
     monkeypatch.setattr(egyptian, "SEARCH_BUDGET", 40_778)
     with pytest.raises(SearchBudgetExceeded, match="4-term solve of 2/11"):
         solve_exact(4, Fraction(2, 11))
+
+
+def test_deepest_walk_let_through_reports_its_budget(monkeypatch):
+    """At the largest term count the depth check lets through, a budget
+    spent at the deepest node is still a SearchBudgetExceeded."""
+    for search, unit in ((max_below, 1), (solve_exact, 2)):
+        n = sys.getrecursionlimit()
+        while True:
+            monkeypatch.setattr(egyptian, "SEARCH_BUDGET", n - unit)
+            with pytest.raises(SearchBudgetExceeded) as exc:
+                search(n, Fraction(n))  # the first path nests n deep
+            if "recursion limit" not in str(exc.value):
+                break
+            n -= 1
+        assert "passed its budget" in str(exc.value)
+        assert n > sys.getrecursionlimit() // 2
 
 
 # ---------------------------------------------------------------------------

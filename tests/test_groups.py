@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import commprob.groups as groups_module
 from commprob.errors import (
     NoIdentity,
     NotAssociative,
@@ -511,6 +512,15 @@ def test_subgroup_validation(named):
         Subgroup(s3, (0, rot))  # not closed
     whole = subgroup_from_members(s3, range(6))
     assert whole.index == 1
+    with pytest.raises(ValueError, match="not closed under the group operation"):
+        Subgroup(s3, (0, 0))  # a repeated member is not a set of size 2
+
+
+def test_group_order_is_the_table_size(named):
+    s3 = named["s3"]
+    assert GroupTable(op=s3.op, inv=s3.inv).order == len(s3) == s3.op.shape[0] == 6
+    with pytest.raises(TypeError):
+        GroupTable(order=6, op=s3.op, inv=s3.inv)
 
 
 def test_subgroup_closure_check(corpus48, subgroups_of):
@@ -546,7 +556,7 @@ def test_alternating_subgroup_of_s7():
         Subgroup(G, sorted(set(A7.members[:-1]) | {odd}))
 
 
-def test_all_subgroups_counts(named):
+def test_all_subgroups_counts(named, monkeypatch):
     c5 = build_from_cayley([[(i + j) % 5 for j in range(5)] for i in range(5)])
     assert len(all_subgroups(c5)) == 2
     assert len(all_subgroups(named["s3"])) == 6
@@ -554,6 +564,10 @@ def test_all_subgroups_counts(named):
     c193, _ = make(FamilySpec("cyclic", (193,)))  # just above SUBGROUP_CUTOFF
     with pytest.raises(OrderCapExceeded):
         all_subgroups(c193)
+    # normal_subgroups refuses before it builds any class
+    monkeypatch.setattr(groups_module, "conjugacy_classes", None)
+    with pytest.raises(OrderCapExceeded, match="enumeration cutoff 192"):
+        normal_subgroups(c193)
 
 
 def test_all_subgroups_against_subset_enumeration(named):
@@ -573,6 +587,29 @@ def test_all_subgroups_classical_counts(named, subgroups_of):
     a5 = subgroups_of(named["a5"])
     assert len(a5) == 59
     assert sum(1 for s in a5 if s.order == 12) == 5
+
+
+def _tau_sigma(n: int) -> tuple[int, int]:
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return len(divisors), sum(divisors)
+
+
+@pytest.mark.parametrize("n", [5, 12, 30, 45, 48, 64, 90, 96])
+def test_dihedral_lattice_closed_forms(n):
+    """D_n, of order 2n, has tau(n) + sigma(n) subgroups; tau(n) + 1
+    normal ones for odd n, tau(n) + 3 for even n."""
+    G, _ = make(FamilySpec("dihedral", (n,)))
+    tau, sigma = _tau_sigma(n)
+    assert len(all_subgroups(G)) == tau + sigma
+    assert len(normal_subgroups(G)) == tau + (1 if n % 2 else 3)
+
+
+@pytest.mark.parametrize("n", [60, 96, 128, 180, 192])
+def test_cyclic_lattice_closed_form(n):
+    G, _ = make(FamilySpec("cyclic", (n,)))
+    subs = all_subgroups(G)
+    assert len(subs) == _tau_sigma(n)[0]
+    assert [N.members for N in normal_subgroups(G)] == [H.members for H in subs]
 
 
 def test_normal_subgroups(named, normals_of, subgroups_of):

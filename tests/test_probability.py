@@ -29,7 +29,6 @@ from commprob.probability import (
     pr_by_classes,
     pr_central_pgroup_formula,
     pr_direct,
-    pr_of_members,
     pr_report,
     verify_special_forms,
 )
@@ -67,11 +66,11 @@ def test_against_naive_count(named):
         assert pr_direct(g) == naive_pr(g) == pr_by_classes(g)
 
 
-def test_pr_of_members(named):
+def test_pr_of_a_subgroup_table(named):
     s3 = named["s3"]
     rot = next(x for x in range(6) if element_orders(s3)[x] == 3)
     a3 = subgroup_from_generators(s3, [rot])
-    assert pr_of_members(s3, a3.members) == 1
+    assert pr_direct(subgroup_table(s3, a3)) == 1
 
 
 # ---------------------------------------------------------------------------
