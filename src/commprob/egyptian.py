@@ -22,9 +22,9 @@ The last term needs no loop: it is the smallest admissible x with
 equal sums the first one met in the search order is the witness. The
 search runs in plain integers and gives up with SearchBudgetExceeded
 once it has visited more than SEARCH_BUDGET nodes, or before its first
-node when its n nested calls would pass the interpreter's recursion
-limit. The certificates are re-checked by an independent interval scan
-in the test suite.
+node when its n nested calls would take more than half the interpreter's
+recursion limit. The certificates are re-checked by an independent
+interval scan in the test suite.
 """
 
 from __future__ import annotations
@@ -127,21 +127,14 @@ class SpectrumQuery:
         return out
 
 
-def _check_depth(depth: int, what: str) -> None:
-    """Raise ``SearchBudgetExceeded`` for ``what`` if a walk that nests
-    ``depth`` calls would pass the interpreter's recursion limit.
-
-    The frames in use are counted, and as many again are kept free for
-    the caller and for what the deepest node calls; ``what`` is formatted
-    before the walk, so a node reports a spent budget without calling
-    into Python."""
-    frame, used = sys._getframe(), 0
-    while frame is not None:
-        frame, used = frame.f_back, used + 1
+def _check_depth(n: int, what: str, q: Fraction) -> None:
+    """Refuse an n-term ``what`` of q, one nested call per term, that would
+    take more than half the recursion limit: the rest is the caller's."""
     limit = sys.getrecursionlimit()
-    if depth + 2 * used > limit:
+    if n > limit // 2:
         raise SearchBudgetExceeded(
-            f"{what} would nest {depth} calls deep, past the recursion limit of {limit}"
+            f"{n}-term {what} {format_rational(q)} would nest {n} calls deep, "
+            f"more than half the recursion limit of {limit}"
         )
 
 
@@ -159,13 +152,12 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
     Cost warning: the number of denominators tried grows quickly with n
     and as q shrinks (``solve_exact(5, 1/5)`` finds 118 995 solutions).
     A solve that would try more than ``SEARCH_BUDGET`` denominators
-    raises ``SearchBudgetExceeded`` before it tries them, and so does one
-    whose nesting, one call per term, would pass the recursion limit.
+    raises ``SearchBudgetExceeded`` before it tries them, as does one too
+    deep to recurse (see :func:`_check_depth`).
     """
     if n < 1:
         raise ValueError("term count must be >= 1")
     q = Fraction(q)
-    what = f"{n}-term solve of {format_rational(q)}"
     found: list[tuple[int, ...]] = []
     tried = 0
 
@@ -174,7 +166,8 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
         tried += count
         if tried > SEARCH_BUDGET:
             raise SearchBudgetExceeded(
-                f"{what} passed its budget of {SEARCH_BUDGET} denominators"
+                f"{n}-term solve of {format_rational(q)} passed its budget of "
+                f"{SEARCH_BUDGET} denominators"
             )
 
     def solve(k: int, a: int, b: int, lo: int, chosen: tuple[int, ...]) -> None:
@@ -209,7 +202,7 @@ def solve_exact(n: int, q) -> list[UnitFractionMultiset]:
             solve(k - 1, num // g, den // g, d, (d,) + chosen)
 
     if 0 < q <= n:  # above n no denominator is admissible
-        _check_depth(n, what)
+        _check_depth(n, "solve of", q)
         solve(n, q.numerator, q.denominator, 1, ())
     # every tuple holds positive ints in non-increasing order by construction
     return [UnitFractionMultiset._unchecked(t) for t in sorted(found)]
@@ -227,8 +220,7 @@ def _search(n: int, l: Fraction) -> tuple[Fraction, tuple[int, ...], int]:
     and the best sum so far by its residual c/d, so the cut
     acc + k/x <= best reads k/x <= a/b - c/d.
     """
-    what = f"{n}-term gap search below {format_rational(l)}"
-    _check_depth(n, what)
+    _check_depth(n, "gap search below", l)
     c, d = l.numerator, l.denominator  # the empty sum
     best_wit: tuple[int, ...] = ()
     stack: list[int] = []
@@ -239,7 +231,8 @@ def _search(n: int, l: Fraction) -> tuple[Fraction, tuple[int, ...], int]:
         nodes += 1
         if nodes > SEARCH_BUDGET:
             raise SearchBudgetExceeded(
-                f"{what} passed its budget of {SEARCH_BUDGET} nodes"
+                f"{n}-term gap search below {format_rational(l)} passed its "
+                f"budget of {SEARCH_BUDGET} nodes"
             )
         x = max(lo, b // a + 1)  # the smallest admissible x with 1/x < a/b
         if k == 1:
@@ -269,9 +262,8 @@ def max_below(n: int, l) -> GapCertificate:
     for most probes with up to four terms, but the node count still grows
     with the term count and as the probe shrinks (``max_below(4, 1/11)``
     visits 244 167 nodes). A search that passes ``SEARCH_BUDGET`` nodes
-    raises ``SearchBudgetExceeded`` instead of running on, and one whose
-    nesting, one call per term, would pass the recursion limit raises it
-    before its first node.
+    raises ``SearchBudgetExceeded`` instead of running on, as does, before
+    its first node, one too deep to recurse (see :func:`_check_depth`).
     """
     if n < 1:
         raise ValueError("term count must be >= 1")

@@ -25,10 +25,8 @@ The same greedy generators validate a Cayley table exactly, at every
 order: associativity by Light's test, (xs)y = x(sy) for each generator s
 only (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
 in O(n^2 log n) time, and inverses are found a block of rows at a time.
-A member set becomes a ``Subgroup`` only if the subgroup that its
-members generate, by the same greedy closure, is no larger than the set;
-the structural operations take such a ``Subgroup``, never a raw member
-list.
+A member set is checked to be a subgroup by the same closure, grown over
+positions in the set; structural operations take only such a ``Subgroup``.
 
 Conventions fixed once for the whole library:
 
@@ -153,13 +151,21 @@ class Subgroup:
             raise ValueError(
                 f"subgroup size {len(mem)} does not divide group order {n}"
             )
-        # a set holding the identity is closed exactly when the subgroup it
-        # generates is no larger; :func:`_generate` picks at most
-        # log2|H| + 1 of its members when it is
-        seen = [True] + [False] * (n - 1)
-        _generate(self.parent.op, mem, [], seen)
-        if seen.count(True) != len(mem):
+        # distinct members, the identity among them, are closed exactly when
+        # they span no more: grow their span over positions in the set, each
+        # pick's map refused unless it stays in the set (log2|H| + 1 picks)
+        position = {m: i for i, m in enumerate(mem)}
+        if len(position) < len(mem):  # a repeated member
             raise ValueError("member set is not closed under the group operation")
+        op, arr = self.parent.op, np.asarray(mem, dtype=_DTYPE)
+
+        def column(p: int) -> list[int]:
+            col = [position.get(y, -1) for y in op[arr, mem[p]].tolist()]
+            if -1 in col:
+                raise ValueError("member set is not closed under the group operation")
+            return col
+
+        _generate(column, np.arange(len(mem)), [], [True] + [False] * (len(mem) - 1))
 
     @property
     def order(self) -> int:
@@ -652,20 +658,21 @@ def _greedy(op: np.ndarray) -> Iterator[int]:
         yield s
 
 
-def _generate(op: np.ndarray, seed, right: list[list[int]], seen: list[bool]) -> None:
+def _generate(column, seed, right: list[list[int]], seen: list[bool]) -> None:
     """Grow the subgroup marked in ``seen`` (generated by the maps in
     ``right``) in place by each seed element it does not yet hold, in
-    seed order, through :func:`_extend`."""
+    seed order, through :func:`_extend`; ``column(s)`` is the
+    right-multiplication map of s as a list."""
     for s in np.asarray(seed, dtype=_DTYPE).ravel().tolist():
         if not seen[s]:
-            right.append(op[:, s].tolist())
+            right.append(column(s))
             _extend(right, seen)
 
 
 def _span(op: np.ndarray, seed) -> np.ndarray:
     """Sorted members of the subgroup generated by ``seed``."""
     seen = [True] + [False] * (op.shape[0] - 1)
-    _generate(op, seed, [], seen)
+    _generate(lambda s: op[:, s].tolist(), seed, [], seen)
     return np.flatnonzero(seen).astype(_DTYPE)
 
 
@@ -729,7 +736,7 @@ def _normal_closure(G: GroupTable, seed) -> np.ndarray:
     right: list[list[int]] = []
     pending = seed
     while True:
-        _generate(G.op, pending, right, seen)
+        _generate(lambda s: G.op[:, s].tolist(), pending, right, seen)
         mask = np.asarray(seen)
         members = np.flatnonzero(mask).astype(_DTYPE)
         pending = _conjugates(G, members, G.generators).ravel()
@@ -874,7 +881,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             if not covered[x]:
                 covered[op[members, x]] = True
                 seen = [True] + [False] * (G.order - 1)
-                _generate(op, np.append(members, x), [], seen)
+                _generate(lambda s: op[:, s].tolist(), np.append(members, x), [], seen)
                 yield np.asarray(seen)
 
     return _lattice(G, extensions)

@@ -140,19 +140,15 @@ def test_solve_budget_counts_each_denominator_tried(monkeypatch):
 
 
 def test_deepest_walk_let_through_reports_its_budget(monkeypatch):
-    """At the largest term count the depth check lets through, a budget
-    spent at the deepest node is still a SearchBudgetExceeded."""
+    """The depth check lets through half the recursion limit, and there a
+    budget spent at the deepest node is still a SearchBudgetExceeded."""
+    n = sys.getrecursionlimit() // 2
     for search, unit in ((max_below, 1), (solve_exact, 2)):
-        n = sys.getrecursionlimit()
-        while True:
-            monkeypatch.setattr(egyptian, "SEARCH_BUDGET", n - unit)
-            with pytest.raises(SearchBudgetExceeded) as exc:
-                search(n, Fraction(n))  # the first path nests n deep
-            if "recursion limit" not in str(exc.value):
-                break
-            n -= 1
-        assert "passed its budget" in str(exc.value)
-        assert n > sys.getrecursionlimit() // 2
+        with pytest.raises(SearchBudgetExceeded, match="half the recursion limit"):
+            search(n + 1, Fraction(n + 1))
+        monkeypatch.setattr(egyptian, "SEARCH_BUDGET", n - unit)
+        with pytest.raises(SearchBudgetExceeded, match="passed its budget"):
+            search(n, Fraction(n))  # the first path nests n deep
 
 
 # ---------------------------------------------------------------------------

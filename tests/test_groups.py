@@ -514,6 +514,8 @@ def test_subgroup_validation(named):
     assert whole.index == 1
     with pytest.raises(ValueError, match="not closed under the group operation"):
         Subgroup(s3, (0, 0))  # a repeated member is not a set of size 2
+    with pytest.raises(ValueError, match="not closed under the group operation"):
+        Subgroup(s3, (0, 0, rot))  # spans {0, rot, rot^2}, also of size 3
 
 
 def test_group_order_is_the_table_size(named):
