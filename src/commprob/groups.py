@@ -44,6 +44,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -371,7 +372,7 @@ def table_from_json(text: str) -> np.ndarray | None:
         return None
     raw = text.encode("ascii")
     del text  # often the only reference: a copy of the table's text
-    if b", " in raw:
+    if b" " in raw:  # one byte: a memchr, not a substring search
         # whitespace between tokens is insignificant; after this only
         # digits, commas and brackets may remain
         raw = raw.replace(b", ", b",")
@@ -509,7 +510,9 @@ def build_from_permutations(
     Elements are numbered by breadth-first discovery with the generator
     order fixed, so identical input always yields identical numbering.
     The closure records ``right[k][g]``, the index of e_k * g, and the
-    (k, g) that first reached each element e_j = e_k * g.
+    (k, g) that first reached each element e_j = e_k * g. Each step reads
+    every generator's image tuple through one ``itemgetter`` of e_k's
+    images, so the composition runs in C.
 
     The table is filled a contiguous row at a time. For each generator h
     the left-multiplication map L_h (L_h[j] is the index of h * e_j)
@@ -517,13 +520,20 @@ def build_from_permutations(
     h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g]. Then for
     e_i = e_k * h, e_i * e_j = e_k * (h * e_j), so row i is row k
     gathered through L_h. Row k comes before row i in the numbering,
-    and no n^2 temporary is formed.
+    and no n^2 temporary is formed. The identity of row k sits at
+    inv[k], so the identity of row i sits at L_h^-1[inv[k]]: the
+    inverses cost O(n), with no search of the table.
     """
     _check_degree(degree)
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
+    if degree < 2:
+        # the only permutation is the identity (and itemgetter needs two
+        # indices to return a tuple)
+        return GroupTable(op=np.zeros((1, 1), dtype=_DTYPE),
+                          inv=np.zeros(1, dtype=_DTYPE), name=name)
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
@@ -532,11 +542,11 @@ def build_from_permutations(
     gen_images = [g.images for g in gens]
     head = 0
     while head < len(elems):
-        cur = elems[head]
+        compose = itemgetter(*elems[head])
         head += 1
         row = []
         for gi, gim in enumerate(gen_images):
-            nxt = tuple(gim[p] for p in cur)
+            nxt = compose(gim)
             j = index.get(nxt)
             if j is None:
                 if len(elems) >= ORDER_CAP:
@@ -549,33 +559,57 @@ def build_from_permutations(
             row.append(j)
         right.append(row)
     n = len(elems)
-    left = {}
+    left, left_inv = {}, {}
     for h in {h for _, h in parent[1:]}:
         lh = [0] * n
         lh[0] = right[0][h]  # h * e_0 = h
         for j in range(1, n):
             k, g = parent[j]
             lh[j] = right[lh[k]][g]
-        left[h] = np.array(lh, dtype=_DTYPE)
+        left[h] = np.array(lh, dtype=np.intp)  # take's index type: no cast per row
+        inv_h = np.empty(n, dtype=np.intp)
+        inv_h[left[h]] = np.arange(n)
+        left_inv[h] = inv_h.tolist()
     op = np.empty((n, n), dtype=_DTYPE)
     op[0] = np.arange(n, dtype=_DTYPE)
+    inv = [0] * n
     for i in range(1, n):
         k, h = parent[i]
         # indices are in range; "clip" skips the buffered copy of "raise"
-        np.take(op[k], left[h], out=op[i], mode="clip")
-    return GroupTable(op=op, inv=_inverses(op), name=name)
+        op[k].take(left[h], out=op[i], mode="clip")
+        inv[i] = left_inv[h][inv[k]]
+    return GroupTable(op=op, inv=np.array(inv, dtype=_DTYPE), name=name)
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Componentwise product on index pairs, packed as ``i = x*|B| + y``."""
-    n = a.order * b.order
+    """Componentwise product on index pairs, packed as ``i = x*|B| + y``.
+
+    Row x*|B| + y is A's row x, scaled by |B| with each value repeated
+    |B| times, plus B's row y tiled |A| times. A block of A's rows is
+    filled by one add of those repeated rows onto a (|B|, n) tile of B's
+    rows, so the add runs over contiguous stretches n cells long, not |B|
+    (2 for a product with C2). When the tile would pass ``_BLOCK_CELLS``
+    cells, |B| > 2^20 / n and a broadcast of B's table already runs
+    |B| cells at a time. Every temporary stays within ``_BLOCK_CELLS``
+    cells; no n^2 array is formed besides the table.
+    """
+    na, nb = a.order, b.order
+    n = na * nb
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n} exceeds cap {ORDER_CAP}")
-    op = (
-        a.op[:, None, :, None].astype(_DTYPE) * b.order
-        + b.op[None, :, None, :]
-    ).reshape(n, n)
-    inv = (a.inv[:, None].astype(_DTYPE) * b.order + b.inv[None, :]).reshape(n)
+    op = np.empty((n, n), dtype=_DTYPE)
+    step = max(1, _BLOCK_CELLS // n)  # rows of A per block
+    tile = np.tile(b.op, (1, na)) if nb * n <= _BLOCK_CELLS else None
+    for lo in range(0, na, step):
+        scaled = a.op[lo:lo + step].astype(_DTYPE) * nb
+        block = op[lo * nb:(lo + step) * nb]
+        if tile is not None:
+            np.add(np.repeat(scaled, nb, axis=1)[:, None, :], tile,
+                   out=block.reshape(-1, nb, n))
+        else:
+            np.add(scaled[:, None, :, None], b.op[None, :, None, :],
+                   out=block.reshape(-1, nb, na, nb))
+    inv = (a.inv[:, None].astype(_DTYPE) * nb + b.inv[None, :]).reshape(n)
     name = f"{a.name or 'A'}x{b.name or 'B'}"
     return GroupTable(op=op, inv=inv, name=name)
 

@@ -300,7 +300,12 @@ def generator_lists(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(generator_lists())
+@example((0, []))
+@example((0, [Permutation(0, ())]))
 @example((1, []))
+@example((1, [Permutation(1, (0,))]))
+@example((2, [Permutation(2, (0, 1))] * 2))
+@example((2, [Permutation(2, (0, 1)), Permutation(2, (1, 0)), Permutation(2, (0, 1))]))
 @example((4, [Permutation(4, (1, 0, 2, 3))] * 2 + [Permutation(4, (0, 1, 2, 3))]))
 @example((6, [Permutation(6, (0, 1, 2, 3, 4, 5)), Permutation(6, (1, 0, 2, 3, 4, 5)),
               Permutation(6, (1, 2, 3, 4, 5, 0))]))  # S6 after the identity
@@ -342,6 +347,17 @@ def test_permutation_build_memory_is_one_table():
         tracemalloc.stop()
     assert G.order == 5040
     assert peak <= G.op.nbytes + 8 * 2**20
+
+
+def test_permutation_inverses_match_a_row_search():
+    """``inv`` read off the closure equals the identity's column in each
+    row, for every permutation-built member of corpus(64) and for D1000."""
+    tables = [G for G, spec in corpus(64)
+              if spec.family in ("dihedral", "symmetric", "alternating")]
+    tables.append(make(FamilySpec("dihedral", (1000,)))[0])
+    assert len(tables) > 30
+    for G in tables:
+        assert np.array_equal(G.inv, groups_module._inverses(G.op)), G.name
 
 
 def test_bad_degree_fails_before_building():
@@ -404,6 +420,51 @@ def test_direct_product_basics(named):
     c150, _ = make(FamilySpec("cyclic", (150,)))
     with pytest.raises(OrderCapExceeded):  # order 22 500, refused before any build
         direct_product(c150, c150)
+
+
+def _family(family: str, *params: int) -> GroupTable:
+    return make(FamilySpec(family, params))[0]
+
+
+@pytest.mark.parametrize(
+    "factors, digest",
+    [
+        ((("alternating", 6), ("dicyclic", 2)),
+         "76eda11b2577c540cef94721efcb96f6c180e0784a6770003d59c9c7e9dea7b6"),
+        ((("symmetric", 6), ("cyclic", 2)),
+         "665ea85e4d12d1ae8c6a224abc77ecd2b864cc4718ff5ac4f457604eacf452ae"),
+        ((("cyclic", 2), ("symmetric", 6)),
+         "cd47f7d46dabe414a073db9c681d62428785a4d2b6468051cb3b1ecf5a03a4be"),
+        ((("dihedral", 5), ("dihedral", 6)),
+         "4d91aee3b5562516cc4c802fc52309ed558e0ab144e08e3b38891f55af77edd1"),
+        ((("cyclic", 3), ("symmetric", 6)),
+         "bcbea62e69eccbfd1b27f442f663d6577ebdee255ffa6e1db9aab9af940d3a6e"),
+    ],
+    ids=["A6xDic2", "S6xC2", "C2xS6", "D5xD6", "C3xS6"],
+)
+def test_direct_product_bytes_are_pinned(factors, digest):
+    """``op`` and ``inv`` of direct products keep their bytes, whether B's
+    rows fit one block of 2^20 cells as a tile of n columns (all but the
+    last) or not (C3xS6)."""
+    P = direct_product(*(_family(f, p) for f, p in factors))
+    assert hashlib.sha256(P.op.tobytes() + P.inv.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("factors", [(("symmetric", 6), ("cyclic", 2)),
+                                     (("cyclic", 2), ("cyclic", 2000))],
+                         ids=["S6xC2", "C2xC2000"])
+def test_direct_product_memory_is_one_table(factors):
+    """A product holds its int32 table and temporaries of a few MiB, with
+    a small second factor (short runs) and with a large one."""
+    a, b = (_family(f, p) for f, p in factors)
+    tracemalloc.start()
+    try:
+        P = direct_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.order == a.order * b.order
+    assert peak <= P.op.nbytes + 8 * 2**20
 
 
 def test_quotient(named, normals_of):
