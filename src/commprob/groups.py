@@ -585,30 +585,28 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Componentwise product on index pairs, packed as ``i = x*|B| + y``.
 
     Row x*|B| + y is A's row x, scaled by |B| with each value repeated
-    |B| times, plus B's row y tiled |A| times. A block of A's rows is
-    filled by one add of those repeated rows onto a (|B|, n) tile of B's
-    rows, so the add runs over contiguous stretches n cells long, not |B|
-    (2 for a product with C2). When the tile would pass ``_BLOCK_CELLS``
-    cells, |B| > 2^20 / n and a broadcast of B's table already runs
-    |B| cells at a time. Every temporary stays within ``_BLOCK_CELLS``
-    cells; no n^2 array is formed besides the table.
+    |B| times, plus B's row y tiled |A| times. The first |B| rows (x = 0)
+    are one broadcast of B's table; every later block of A's rows is
+    one add of the scaled differences a[x] - a[0], repeated, onto those
+    first rows, so the add runs over contiguous stretches a whole row
+    long, not |B| (2 for a product with C2). The only temporaries are
+    those differences, at most ``_BLOCK_CELLS`` cells; no n^2 array is
+    formed besides the table.
     """
     na, nb = a.order, b.order
     n = na * nb
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n} exceeds cap {ORDER_CAP}")
     op = np.empty((n, n), dtype=_DTYPE)
+    first = op[:nb]
+    a0 = a.op[0].astype(_DTYPE)
+    np.add((a0 * nb)[None, :, None], b.op[:, None, :], out=first.reshape(nb, na, nb))
     step = max(1, _BLOCK_CELLS // n)  # rows of A per block
-    tile = np.tile(b.op, (1, na)) if nb * n <= _BLOCK_CELLS else None
-    for lo in range(0, na, step):
-        scaled = a.op[lo:lo + step].astype(_DTYPE) * nb
-        block = op[lo * nb:(lo + step) * nb]
-        if tile is not None:
-            np.add(np.repeat(scaled, nb, axis=1)[:, None, :], tile,
-                   out=block.reshape(-1, nb, n))
-        else:
-            np.add(scaled[:, None, :, None], b.op[None, :, None, :],
-                   out=block.reshape(-1, nb, na, nb))
+    for lo in range(1, na, step):
+        delta = np.repeat((a.op[lo:lo + step] - a0) * nb, nb, axis=1)
+        np.add(first, delta[:, None, :],
+               out=op[lo * nb:(lo + step) * nb].reshape(-1, nb, n))
+        del delta  # before the next block's is formed
     inv = (a.inv[:, None].astype(_DTYPE) * nb + b.inv[None, :]).reshape(n)
     name = f"{a.name or 'A'}x{b.name or 'B'}"
     return GroupTable(op=op, inv=inv, name=name)

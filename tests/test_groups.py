@@ -443,19 +443,17 @@ def _family(family: str, *params: int) -> GroupTable:
     ids=["A6xDic2", "S6xC2", "C2xS6", "D5xD6", "C3xS6"],
 )
 def test_direct_product_bytes_are_pinned(factors, digest):
-    """``op`` and ``inv`` of direct products keep their bytes, whether B's
-    rows fit one block of 2^20 cells as a tile of n columns (all but the
-    last) or not (C3xS6)."""
+    """``op`` and ``inv`` of direct products keep their bytes."""
     P = direct_product(*(_family(f, p) for f, p in factors))
     assert hashlib.sha256(P.op.tobytes() + P.inv.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("factors", [(("symmetric", 6), ("cyclic", 2)),
+@pytest.mark.parametrize("factors", [(("symmetric", 6), ("cyclic", 4)),
                                      (("cyclic", 2), ("cyclic", 2000))],
-                         ids=["S6xC2", "C2xC2000"])
+                         ids=["S6xC4", "C2xC2000"])
 def test_direct_product_memory_is_one_table(factors):
     """A product holds its int32 table and temporaries of a few MiB, with
-    a small second factor (short runs) and with a large one."""
+    a small second factor (A's rows in two blocks) and with a large one."""
     a, b = (_family(f, p) for f, p in factors)
     tracemalloc.start()
     try:
