@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import CommprobError, OrderCapExceeded, ParseError, ValidationError
 from .families import FamilySpec, make
 from .groups import (
+    ORDER_CAP,
     GroupTable,
     build_from_cayley,
     build_from_permutations,
@@ -204,8 +205,10 @@ def ingest(path) -> list[CatalogEntry]:
 class EntryFilter:
     """Predicate over surveyed rows; unset fields do not constrain.
 
-    ``p_power`` must be a prime p; it keeps groups of p-power order,
-    the trivial group included.
+    ``p_power`` must be a prime p up to ``ORDER_CAP``; it keeps groups of
+    p-power order, the trivial group included. No group under the cap
+    has an order divisible by a larger prime, so a larger value is refused
+    before its primality test.
     """
 
     max_order: int | None = None
@@ -218,8 +221,13 @@ class EntryFilter:
     tag: str | None = None
 
     def __post_init__(self):
-        if self.p_power is not None and prime_power(self.p_power) != (self.p_power, 1):
-            raise ValueError(f"p-group filter needs a prime, got {self.p_power}")
+        p = self.p_power
+        if p is not None and p > ORDER_CAP:
+            raise ValueError(
+                f"p-group filter needs a prime up to the order cap {ORDER_CAP}, got {p}"
+            )
+        if p is not None and prime_power(p) != (p, 1):
+            raise ValueError(f"p-group filter needs a prime, got {p}")
 
     def describe(self) -> str:
         parts = []

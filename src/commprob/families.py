@@ -85,10 +85,11 @@ class FamilySpec:
 
 
 def cyclic_table(n: int) -> GroupTable:
+    """Cyclic group of order n, reduced in place: no n^2 temporary."""
     idx = np.arange(n, dtype=_DTYPE)
-    op = (idx[:, None] + idx[None, :]) % n
-    inv = (-idx) % n
-    return GroupTable(op=op.astype(_DTYPE), inv=inv.astype(_DTYPE), name=f"C{n}")
+    op = np.add.outer(idx, idx)
+    op %= n
+    return GroupTable(op=op, inv=(-idx) % n, name=f"C{n}")
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -123,16 +124,24 @@ def dicyclic_table(m: int) -> GroupTable:
     """Dicyclic group of order 4m: a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1.
 
     Element a^i b^j is index i + 2m*j with i in [0, 2m), j in {0, 1}.
+    The table is filled in place, with no n^2 temporary.
     """
     two_m = 2 * m
-    order = 4 * m
     # a^i b^j * a^k b^l = a^(i + (-1)^j k + m j l) b^(j + l mod 2), from
-    # b a^k = a^-k b and b^2 = a^m
-    b_exp, a_exp = np.divmod(np.arange(order, dtype=_DTYPE), two_m)
-    i, j = a_exp[:, None], b_exp[:, None]  # the left factor a^i b^j
-    k, l = a_exp[None, :], b_exp[None, :]  # the right factor a^k b^l
-    op = (i + (1 - 2 * j) * k + m * j * l) % two_m + two_m * (j ^ l)
-    return GroupTable(op=op, inv=_inverses(op), name=f"Dic{m}")
+    # b a^k = a^-k b and b^2 = a^m; rows from 2m on have j = 1, and
+    # columns from 2m on have l = 1
+    a = np.arange(two_m, dtype=_DTYPE)
+    a_exp = np.concatenate([a, a])
+    sign = np.repeat(np.array([1, -1], dtype=_DTYPE), two_m)
+    op = np.multiply.outer(sign, a_exp)
+    op += a_exp[:, None]
+    op[two_m:, two_m:] += m
+    op %= two_m
+    op[:two_m, two_m:] += two_m
+    op[two_m:, :two_m] += two_m
+    # (a^i)^-1 = a^-i and (a^i b)^-1 = a^(i+m) b
+    inv = np.concatenate([-a % two_m, (a + m) % two_m + two_m])
+    return GroupTable(op=op, inv=inv, name=f"Dic{m}")
 
 
 def heisenberg_table(p: int, s: int) -> GroupTable:
@@ -237,9 +246,14 @@ def _order_of(fam: str, params: tuple[int, ...]) -> int:
             raise UnsupportedParams("dicyclic parameter must be >= 2")
         return 4 * n
     p, s = params
-    if s >= 1 and p ** (2 * s + 1) > EXTRASPECIAL_ORDER_CAP:  # before a slow primality test
+    if s < 1 or p < 2:
+        raise UnsupportedParams("extraspecial needs a prime p and s >= 1")
+    # p^(2s+1) >= 2^(2s+1), so a long exponent is over the cap without
+    # forming the power, and the cap comes before trial division of p
+    if (2 * s + 1 >= EXTRASPECIAL_ORDER_CAP.bit_length()
+            or p ** (2 * s + 1) > EXTRASPECIAL_ORDER_CAP):
         raise OrderCapExceeded(f"extraspecial order capped at {EXTRASPECIAL_ORDER_CAP}")
-    if prime_power(p) != (p, 1) or s < 1:
+    if prime_power(p) != (p, 1):
         raise UnsupportedParams("extraspecial needs a prime p and s >= 1")
     return p ** (2 * s + 1)
 

@@ -260,6 +260,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if stripped:
         raise ValueError(f"stray characters in cycle notation: {stripped!r}")
     images = list(range(degree))
+    source = list(range(degree))  # source[y]: the point whose image is y
     for body in _CYCLE_RE.findall(text):
         points = [int(tok) for tok in body.split()]
         if not points:
@@ -268,10 +269,12 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             raise ValueError(f"cycle point out of range 1..{degree}: ({body})")
         if len(set(points)) != len(points):
             raise ValueError(f"repeated point within a cycle: ({body})")
-        cycle_map = {}
-        for a, b in zip(points, points[1:] + points[:1]):
-            cycle_map[a - 1] = b - 1
-        images = [cycle_map.get(im, im) for im in images]
+        # the cycle sends each a to the next b: the one point now mapped
+        # to a is mapped to b instead, and no other image changes
+        froms = [source[a - 1] for a in points]
+        for x, b in zip(froms, points[1:] + points[:1]):
+            images[x] = b - 1
+            source[b - 1] = x
     return Permutation(degree, tuple(images))
 
 

@@ -28,9 +28,7 @@ from .groups import (
     centralizer,
     conjugacy_classes,
     derived_subgroup,
-    element_orders,
     fitting_subgroup,
-    is_abelian,
     is_normal,
     orbit_count_on_normal,
     prime_power,
@@ -56,28 +54,6 @@ def pr_direct(G: GroupTable) -> Fraction:
 def pr_by_classes(G: GroupTable) -> Fraction:
     """Commuting probability as (# conjugacy classes) / |G|."""
     return Fraction(conjugacy_classes(G).count, G.order)
-
-
-# ---------------------------------------------------------------------------
-# tiny-group fingerprints
-#
-# The targets below (cyclic groups and C_2^r) are recognised from element
-# orders alone; no general isomorphism test is needed.
-# ---------------------------------------------------------------------------
-
-
-def _is_cyclic(T: GroupTable) -> bool:
-    return max(element_orders(T)) == T.order
-
-
-def _elementary_abelian_two_rank(T: GroupTable) -> int | None:
-    """Rank r if T is isomorphic to C_2^r, else None.
-
-    A group in which every square is the identity is elementary abelian.
-    """
-    if np.diagonal(T.op).any():
-        return None
-    return T.order.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +106,15 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
     # exactly when [s, x] does for each generator s
     comms = _commutators(G, G.generators, np.arange(n, dtype=_DTYPE))
 
+    # the subgroups of D/K are those of D over K, and a finite group is
+    # cyclic exactly when no two of its subgroups have the same order
+    subs = all_subgroups(D)
+    member_sets = [set(L.members) for L in subs]
     terms = []
     total = Fraction(0)
-    for K in all_subgroups(D):
-        if not _is_cyclic(quotient(D, K)):
+    for K, k_set in zip(subs, member_sets):
+        over = [len(L) for L in member_sets if k_set <= L]
+        if len(set(over)) < len(over):
             continue
         k_in_g = d_members[np.asarray(K.members, dtype=_DTYPE)]
         mask = np.zeros(n, dtype=bool)
@@ -191,16 +172,21 @@ class SpecialFormMatch:
 def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
     """Detect which classical structural hypotheses hold and compare the
     predicted Pr with the direct count. Empty list when none applies."""
-    out: list[SpecialFormMatch] = []
-    if is_abelian(G):
-        return out
-    actual = pr_direct(G)
     derived = derived_subgroup(G)
+    # each form below has |G'| in {2, 3, 4, 6}; an abelian G has |G'| = 1
+    if derived.order not in (2, 3, 4, 6):
+        return []
+    out: list[SpecialFormMatch] = []
+    actual = pr_direct(G)
     zent = center(G)
+    z_mask = np.zeros(G.order, dtype=bool)
+    z_mask[list(zent.members)] = True
 
-    if derived.order == 2:
-        rank = _elementary_abelian_two_rank(quotient(G, zent))
-        if rank is not None and rank % 2 == 0 and rank > 0:
+    # G/Z is elementary abelian exactly when every square is central, and
+    # its rank is then log2 |G:Z| (at least 2, since G is nonabelian)
+    if derived.order == 2 and z_mask[np.diagonal(G.op)].all():
+        rank = (G.order // zent.order).bit_length() - 1
+        if rank % 2 == 0:
             s = rank // 2
             predicted = Fraction(1, 2) * (1 + Fraction(1, 4**s))
             out.append(
@@ -226,11 +212,12 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
             )
         )
 
-    inter = sorted(set(derived.members) & set(zent.members))
-    if derived.order == 4 and len(inter) == 2:
+    central = int(z_mask[list(derived.members)].sum())  # the order of G' intersect Z
+    if derived.order == 4 and central == 2:
         cent = centralizer(G, derived.members)
-        cent_table = subgroup_table(G, cent)
-        idx = cent.order // center(cent_table).order
+        # for C = C_G(G'), Z(C) = C intersect C_G(C)
+        cent_center = set(cent.members) & set(centralizer(G, cent.members).members)
+        idx = cent.order // len(cent_center)
         s = 0
         q = idx
         while q > 1 and q % 4 == 0:
@@ -260,7 +247,12 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
                 )
             )
 
-    if derived.order == 6 and len(inter) == 2 and is_abelian(subgroup_table(G, derived)):
+    # G' is abelian exactly when it lies in its own centralizer
+    if (
+        derived.order == 6
+        and central == 2
+        and set(derived.members) <= set(centralizer(G, derived.members).members)
+    ):
         diff = actual - Fraction(1, 4)
         den = diff.denominator
         power_of_two = den >= 8 and (den & (den - 1)) == 0

@@ -332,6 +332,9 @@ def test_p_group_filter_needs_a_prime(corpus16):
     for bad in (0, 1, 4, 12):
         with pytest.raises(ValueError):
             EntryFilter(p_power=bad)
+    # 20011 is prime, but above the order cap it is refused untested
+    with pytest.raises(ValueError, match="prime up to the order cap 20000"):
+        EntryFilter(p_power=20011)
 
 
 def test_small_center_index_spectrum_snapshot(corpus128):

@@ -278,6 +278,42 @@ def test_out_of_memory_is_a_domain_error(tmp_path):
     assert done.stdout == "name,order,k,pr\nC3,3,3,1\nbig,,,FAILED\nC4,4,4,1\n"
 
 
+def test_huge_parameters_are_refused_before_any_search(tmp_path):
+    """A prime far above every cap, or an exponent too long to form the
+    power of, is refused at once: these commands used to trial-divide up
+    to 10^9 or build an unbounded power. Each call is timed inside a
+    subprocess, so a hang fails on the timeout instead of stalling."""
+    big = "1000000000000000009"
+    cases = [
+        (["pr", "--family", "extraspecial", "--params", big, "0"], "needs a prime p and s >= 1"),
+        (["pr", "--family", "extraspecial", "--params", big, "-1"], "needs a prime p and s >= 1"),
+        (["pr", "--family", "extraspecial", "--params", "3", "1" + "0" * 18], "capped at 3125"),
+        (["survey", "--corpus", "8", "--filter-p-group", big], "prime up to the order cap 20000"),
+    ]
+    script = (
+        "import contextlib, io, json, sys, time\n"
+        "from commprob.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    out.append([code, time.perf_counter() - start, err.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([argv for argv, _ in cases])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for (argv, text), (code, seconds, err) in zip(cases, json.loads(done.stdout)):
+        assert code == 1 and err.startswith("error:") and text in err, argv
+        assert seconds < 1, (argv, seconds)
+
+
 def test_cayley_file_spellings(capsys, tmp_path):
     """Every spelling of a table json.load reads gives the same answer,
     and text it refuses gives its error unchanged."""

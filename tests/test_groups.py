@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -390,6 +391,46 @@ def test_cycle_notation_roundtrip():
         parse_cycles("(1 9)", 3)
     with pytest.raises(ValueError):
         parse_cycles("(1 2 1)", 3)
+
+
+def _compose_cycles_naively(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
+    """Each point sent through the 1-based cycles one after another."""
+    images = []
+    for point in range(1, degree + 1):
+        for cyc in cycles:
+            if point in cyc:
+                point = cyc[(cyc.index(point) + 1) % len(cyc)]
+        images.append(point - 1)
+    return tuple(images)
+
+
+def test_cycle_parse_matches_naive_composition():
+    """Seeded cycle texts, with points repeated across cycles, ``()`` and
+    empty pieces, read as the left-to-right product of their cycles."""
+    rng = random.Random(19)
+    for _ in range(400):
+        degree = rng.randint(1, 12)
+        cycles, parts = [], []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.15:
+                parts.append(rng.choice(["()", "( )", ""]))
+                continue
+            cyc = rng.sample(range(1, degree + 1), rng.randint(1, degree))
+            cycles.append(cyc)
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+        text = rng.choice(["", " "]).join(parts)
+        assert parse_cycles(text, degree).images == _compose_cycles_naively(cycles, degree), text
+
+
+def test_cycle_parse_is_linear_in_the_degree():
+    """Each cycle changes only the images it moves: 10 000 transpositions
+    at degree 20 000 took 8 s when each cycle rewrote every image."""
+    degree = 20_000
+    text = "".join(f"({k} {k + 1})" for k in range(1, degree, 2))
+    start = time.perf_counter()
+    perm = parse_cycles(text, degree)
+    assert time.perf_counter() - start < 0.5
+    assert perm.images == tuple(k ^ 1 for k in range(degree))
 
 
 def test_permutation_algebra():

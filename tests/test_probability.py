@@ -3,6 +3,7 @@ decompositions. Brute-force oracles live here, written without numpy."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,12 +12,13 @@ import pytest
 
 import commprob.probability
 from commprob.errors import PreconditionFailed
-from commprob.families import FamilySpec, make
+from commprob.families import FamilySpec, central_product, make
 from commprob.groups import (
     abelian_normal_subgroups,
     center,
     derived_subgroup,
     element_orders,
+    is_abelian,
     subgroup_from_generators,
     subgroup_from_members,
     subgroup_table,
@@ -30,6 +32,7 @@ from commprob.probability import (
     pr_central_pgroup_formula,
     pr_direct,
     pr_report,
+    SpecialFormMatch,
     verify_special_forms,
 )
 
@@ -167,8 +170,77 @@ def test_special_forms_examples(named):
     assert pr_direct(named["d8"]) == Fraction(7, 16)
 
 
+def test_derived4_form_with_nonabelian_centralizer(named):
+    """In D8 o D4, Dic4 o Q8 and D8 o ES2_2 (central products over an
+    element of order 2 of each center), G' is cyclic of order 4 and
+    meets Z in 2 elements, and C = C_G(G') is nonabelian: |C : Z(C)| = 4^s
+    with s = 1, 1, 2. No group of corpus(128) has s > 0."""
+    def central(a, b):
+        zs = [center(t).members[1] for t in (a, b)]  # the order-2 center element
+        return central_product(a, zs[0], b, zs[1])[0]
+
+    d8, dic4 = (make(FamilySpec(f, (n,)))[0] for f, n in (("dihedral", 8), ("dicyclic", 4)))
+    es2_2 = make(FamilySpec("extraspecial", (2, 2)))[0]
+    for G, s, pr in ((central(d8, named["d4"]), 1, Fraction(11, 32)),
+                     (central(dic4, named["q8"]), 1, Fraction(11, 32)),
+                     (central(d8, es2_2), 2, Fraction(41, 128))):
+        (form,) = verify_special_forms(G)
+        assert form == SpecialFormMatch("derived4-central2", pr, pr, True, f"s={s}")
+
+
 def test_special_forms_empty_for_abelian(named):
     assert verify_special_forms(named["c12"]) == []
+
+
+def test_special_form_and_formula_results_are_pinned(corpus128):
+    """Every special-form match (pattern, predicted, actual, match, note)
+    and every formula result (value and trace, or the precondition text)
+    over corpus(128), as one sha256 taken when G/Z, C_G(G'), G' and each
+    D/K were still built as tables to read their shapes."""
+    h = hashlib.sha256()
+    for table, spec in corpus128:
+        h.update(f"{spec.name}|{verify_special_forms(table)!r}|".encode())
+        try:
+            result = repr(pr_central_pgroup_formula(table))
+        except PreconditionFailed as exc:
+            result = f"PreconditionFailed({exc})"
+        h.update(f"{result}\n".encode())
+    assert h.hexdigest() == (
+        "d1ed2d9111773209f5fa87bcb076387ffb41a5119de65e429181c1cdf540c0b4"
+    )
+
+
+def test_special_forms_build_no_side_tables(corpus64, monkeypatch):
+    """The special forms read every shape off G's own table, and the
+    formula builds one table, of G', for its subgroup lattice."""
+    built = []
+    real_subgroup_table = commprob.probability.subgroup_table
+
+    def counting_subgroup_table(G, H):
+        built.append(H.order)
+        return real_subgroup_table(G, H)
+
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("a quotient table was built")
+
+    monkeypatch.setattr(commprob.probability, "quotient", no_quotient)
+    monkeypatch.setattr(commprob.probability, "subgroup_table", counting_subgroup_table)
+    nonabelian = [t for t, _ in corpus64 if not is_abelian(t)]
+    for table in nonabelian:
+        verify_special_forms(table)
+    assert built == []
+
+    formulas = 0
+    for table in nonabelian:
+        built.clear()
+        try:
+            pr_central_pgroup_formula(table)
+        except PreconditionFailed:
+            assert built == []
+            continue
+        assert built == [derived_subgroup(table).order]
+        formulas += 1
+    assert formulas >= 25
 
 
 def test_special_form_predictions_never_contradict(corpus64):
