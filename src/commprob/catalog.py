@@ -65,13 +65,13 @@ class CatalogEntry:
                     raise table
                 return build_from_cayley(table, name=self.name)
             if self.source == "permutations":
-                degree = int(self.payload["degree"])
+                degree = _json_int(self.payload["degree"], "degree")
                 gens = [parse_cycles(s, degree) for s in self.payload["gens"]]
                 return build_from_permutations(degree, gens, name=self.name)
             if self.source == "family":
                 spec = FamilySpec(
                     family=self.payload["family"],
-                    params=tuple(int(p) for p in self.payload["params"]),
+                    params=tuple(_json_int(p, "params item") for p in self.payload["params"]),
                 )
                 table, _ = make(spec)
                 return dataclasses.replace(table, name=self.name)
@@ -82,6 +82,14 @@ class CatalogEntry:
             raise ValidationError(
                 f"entry {self.name!r}: {type(exc).__name__}: {exc}", entry=self.name
             ) from exc
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer. A float, a boolean or a string,
+    which ``int`` would truncate or parse, is refused naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def entry_from_family(

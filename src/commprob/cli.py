@@ -207,8 +207,7 @@ def _cmd_pr(parser, args) -> int:
     else:
         print(format_rational(report.pr))
         for b in report.bounds:
-            status = "skipped" if b.skipped else ("holds" if b.holds else "FAILS")
-            print(f"{b.bound}: {status}" + (f" ({b.note})" if b.note else ""))
+            print(f"{b.bound}: {b.status}" + (f" ({b.note})" if b.note else ""))
     return 0
 
 

@@ -723,8 +723,15 @@ def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgro
     return Subgroup(G, tuple(_span(G.op, gens).tolist()))
 
 
+def _check_parent(G: GroupTable, H: Subgroup) -> None:
+    """Refuse a subgroup whose members index another table than G's."""
+    if H.parent is not G:
+        raise ValueError(f"subgroup belongs to {H.parent!r}, not to {G!r}")
+
+
 def subgroup_table(G: GroupTable, sub: Subgroup) -> GroupTable:
     """The member set of ``sub`` as a group in its own right (identity first)."""
+    _check_parent(G, sub)
     members = np.asarray(sub.members, dtype=_DTYPE)
     pos = np.zeros(G.order, dtype=_DTYPE)
     pos[members] = np.arange(len(members), dtype=_DTYPE)
@@ -841,6 +848,7 @@ def derived_subgroup(G: GroupTable) -> Subgroup:
 
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
     """Whether H^s lies in H for every generator s of G."""
+    _check_parent(G, H)
     mask = np.zeros(G.order, dtype=bool)
     mask[list(H.members)] = True
     return bool(mask[_conjugates(G, H.members, G.generators)].all())
@@ -939,6 +947,7 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
 def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     """Intersection of all conjugates of H: the largest normal subgroup
     of G inside H."""
+    _check_parent(G, H)
     # x is in every conjugate of H exactly when its whole class lies in H:
     # drop every x with some x^s outside the set until nothing is dropped
     members = np.asarray(H.members, dtype=_DTYPE)

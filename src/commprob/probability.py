@@ -10,6 +10,7 @@ no comparison is ever made in floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import PreconditionFailed
 from .groups import (
     _DTYPE,
+    _check_parent,
     _commutators,
     _cosets,
     SUBGROUP_CUTOFF,
@@ -38,6 +40,15 @@ from .groups import (
 from .rationals import format_rational
 
 GUSTAFSON_BOUND = Fraction(5, 8)
+
+
+def _exact_log(q: int, base: int) -> int | None:
+    """The s with q == base**s, or None when q is no power of base."""
+    s = 0
+    while q > 1 and q % base == 0:
+        q //= base
+        s += 1
+    return s if q == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -122,35 +133,21 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
         inside = int(mask[comms].all(axis=0).sum())
         if n % inside:
             raise PreconditionFailed("commutator-containment count does not divide |G|")
-        q = n // inside
-        s = 0
-        while q > 1:
-            if q % p:
-                raise PreconditionFailed("containment index is not a power of p")
-            q //= p
-            s += 1
+        s = _exact_log(n // inside, p)
+        if s is None:
+            raise PreconditionFailed("containment index is not a power of p")
         idx = derived.order // K.order
         phi = 1 if idx == 1 else (p - 1) * (idx // p)
         total += Fraction(phi, p**s)
         terms.append(KTerm(k_order=K.order, index=idx, s=s))
 
     predicted = total / derived.order
-
-    special_s = None
-    if derived.order == p:
-        zq = G.order // zent.order
-        r = 0
-        while zq > 1 and zq % (p * p) == 0:
-            zq //= p * p
-            r += 1
-        if zq == 1:
-            special_s = r
     trace = FormulaTrace(
         pattern="central-pgroup",
         p=p,
         terms=tuple(sorted(terms, key=lambda t: t.k_order)),
         predicted=predicted,
-        special_s=special_s,
+        special_s=_exact_log(n // zent.order, p * p) if derived.order == p else None,
     )
     return predicted, trace
 
@@ -178,6 +175,10 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
         return []
     out: list[SpecialFormMatch] = []
     actual = pr_direct(G)
+
+    def found(pattern: str, predicted: Fraction | None, note: str = "") -> None:
+        out.append(SpecialFormMatch(pattern, predicted, actual, predicted == actual, note))
+
     zent = center(G)
     z_mask = np.zeros(G.order, dtype=bool)
     z_mask[list(zent.members)] = True
@@ -188,64 +189,26 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
         rank = (G.order // zent.order).bit_length() - 1
         if rank % 2 == 0:
             s = rank // 2
-            predicted = Fraction(1, 2) * (1 + Fraction(1, 4**s))
-            out.append(
-                SpecialFormMatch(
-                    pattern="derived2-central-quotient-elementary",
-                    predicted=predicted,
-                    actual=actual,
-                    match=predicted == actual,
-                    note=f"s={s}",
-                )
-            )
+            found("derived2-central-quotient-elementary",
+                  Fraction(1, 2) * (1 + Fraction(1, 4**s)), f"s={s}")
 
     # G/Z is never cyclic for a nonabelian G, and S3 is the only
     # noncyclic group of order 6.
     if derived.order == 3 and G.order // zent.order == 6:
-        predicted = Fraction(1, 2)
-        out.append(
-            SpecialFormMatch(
-                pattern="derived3-central-quotient-s3",
-                predicted=predicted,
-                actual=actual,
-                match=predicted == actual,
-            )
-        )
+        found("derived3-central-quotient-s3", Fraction(1, 2))
 
     central = int(z_mask[list(derived.members)].sum())  # the order of G' intersect Z
     if derived.order == 4 and central == 2:
         cent = centralizer(G, derived.members)
         # for C = C_G(G'), Z(C) = C intersect C_G(C)
         cent_center = set(cent.members) & set(centralizer(G, cent.members).members)
-        idx = cent.order // len(cent_center)
-        s = 0
-        q = idx
-        while q > 1 and q % 4 == 0:
-            q //= 4
-            s += 1
-        if q == 1:
-            predicted = Fraction(1, 4) * (
-                1 + Fraction(1, 4) + Fraction(1, 2 ** (2 * s + 1))
-            )
-            out.append(
-                SpecialFormMatch(
-                    pattern="derived4-central2",
-                    predicted=predicted,
-                    actual=actual,
-                    match=predicted == actual,
-                    note=f"s={s}",
-                )
-            )
+        s = _exact_log(cent.order // len(cent_center), 4)
+        if s is None:
+            found("derived4-central2", None, "centralizer central index is not a power of 4")
         else:
-            out.append(
-                SpecialFormMatch(
-                    pattern="derived4-central2",
-                    predicted=None,
-                    actual=actual,
-                    match=False,
-                    note="centralizer central index is not a power of 4",
-                )
-            )
+            found("derived4-central2",
+                  Fraction(1, 4) * (1 + Fraction(1, 4) + Fraction(1, 2 ** (2 * s + 1))),
+                  f"s={s}")
 
     # G' is abelian exactly when it lies in its own centralizer
     if (
@@ -257,15 +220,8 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
         den = diff.denominator
         power_of_two = den >= 8 and (den & (den - 1)) == 0
         ok = diff.numerator == 1 and power_of_two
-        out.append(
-            SpecialFormMatch(
-                pattern="derived6-central2",
-                predicted=actual if ok else None,
-                actual=actual,
-                match=ok,
-                note=f"pr - 1/4 = {format_rational(diff)}",
-            )
-        )
+        found("derived6-central2", actual if ok else None,
+              f"pr - 1/4 = {format_rational(diff)}")
     return out
 
 
@@ -274,11 +230,28 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
 # ---------------------------------------------------------------------------
 
 
+# Each bound's verdict is "lhs RELATION rhs". Every bound but two holds
+# exactly when its relation applied to lhs and rhs is true; the two
+# structural ones, gustafson-equality and erdos-turan, decide it directly.
+BOUND_RELATIONS = {
+    "gustafson": "<=",
+    "gustafson-equality": "iff",
+    "erdos-turan": "<=",
+    "fitting-index": "<=",
+    "derived-bound": "<=",
+    "min-degree-lower": "<",
+    "min-degree-upper": "<=",
+    "orbit-bound": "<=",
+}
+_COMPARISONS = {"<=": operator.le, "<": operator.lt}
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """One bound evaluation. ``holds is None`` means "skipped" and the
     note says why; otherwise lhs/rhs hold the exact compared quantities
-    (both None when the comparison is structural rather than numeric)."""
+    (both None when the comparison is structural rather than numeric;
+    erdos-turan drops its rhs once 2^(2^k) would be too large to form)."""
 
     bound: str
     relation: str
@@ -290,6 +263,14 @@ class BoundResult:
     @property
     def skipped(self) -> bool:
         return self.holds is None
+
+    @property
+    def status(self) -> str:
+        """The verdict as the text and CSV reports print it: skipped,
+        holds or FAILS."""
+        if self.holds is None:
+            return "skipped"
+        return "holds" if self.holds else "FAILS"
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,7 +327,7 @@ class PrReport:
                format_rational(self.pr), str(self.center_index)]
         for b in self.bounds:
             head.append(b.bound)
-            row.append("skipped" if b.skipped else ("holds" if b.holds else "FAILS"))
+            row.append(b.status)
         return ",".join(head) + "\n" + ",".join(row) + "\n"
 
 
@@ -391,90 +372,61 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
     abelian = base.center_index == 1
     results: list[BoundResult] = []
 
+    def verdict(bound: str, lhs, rhs, holds: bool | None, note: str) -> None:
+        results.append(BoundResult(bound, BOUND_RELATIONS[bound], lhs, rhs, holds, note))
+
+    def compare(bound: str, lhs: Fraction, rhs: Fraction, note: str = "") -> None:
+        verdict(bound, lhs, rhs, _COMPARISONS[BOUND_RELATIONS[bound]](lhs, rhs), note)
+
+    def skip(bound: str, why: str) -> None:
+        verdict(bound, None, None, None, why)
+
     if abelian:
-        results.append(
-            BoundResult("gustafson", "<=", None, None, None, "abelian group")
-        )
-        results.append(
-            BoundResult("gustafson-equality", "iff", None, None, None, "abelian group")
-        )
+        skip("gustafson", "abelian group")
+        skip("gustafson-equality", "abelian group")
     else:
-        results.append(
-            BoundResult("gustafson", "<=", pr, GUSTAFSON_BOUND, pr <= GUSTAFSON_BOUND)
-        )
-        is_eq = pr == GUSTAFSON_BOUND
+        compare("gustafson", pr, GUSTAFSON_BOUND)
         # G/Z is never cyclic for a nonabelian G, so index 4 means C2 x C2
-        klein = base.center_index == 4
-        results.append(
-            BoundResult(
-                "gustafson-equality",
-                "iff",
-                None,
-                None,
-                is_eq == klein,
-                "equality at 5/8 holds exactly when the central quotient is "
-                "the Klein four-group",
-            )
+        verdict(
+            "gustafson-equality", None, None,
+            (pr == GUSTAFSON_BOUND) == (base.center_index == 4),
+            "equality at 5/8 holds exactly when the central quotient is "
+            "the Klein four-group",
         )
 
     if n <= 2:
-        results.append(
-            BoundResult("erdos-turan", ">=", None, None, None, "order <= 2")
-        )
+        skip("erdos-turan", "order <= 2")
     else:
-        holds = erdos_turan_holds(n, k)
-        small = (1 << min(k, 6)) < 64
-        rhs = Fraction(2 ** (2**k)) if small else None
-        results.append(
-            BoundResult(
-                "erdos-turan",
-                "<=",
-                Fraction(n),
-                rhs,
-                holds,
-                "class count k vs log2(log2(order)), checked as order <= 2^(2^k)",
-            )
+        verdict(
+            "erdos-turan", Fraction(n), Fraction(2 ** (2**k)) if k < 6 else None,
+            erdos_turan_holds(n, k),
+            "class count k vs log2(log2(order)), checked as order <= 2^(2^k)",
         )
 
     if n > SUBGROUP_CUTOFF:
-        results.append(
-            BoundResult("fitting-index", "<=", None, None, None, "skipped by context")
-        )
+        skip("fitting-index", "skipped by context")
     else:
-        fit = fitting_subgroup(G)
-        idx = n // fit.order
-        results.append(
-            BoundResult(
-                "fitting-index",
-                "<=",
-                pr * pr,
-                Fraction(1, idx),
-                pr * pr <= Fraction(1, idx),
-                "squared to keep the comparison rational",
-            )
-        )
+        idx = n // fitting_subgroup(G).order
+        compare("fitting-index", pr * pr, Fraction(1, idx),
+                "squared to keep the comparison rational")
 
     derived_order = derived_subgroup(G).order
-    rhs = Fraction(1, 4) + Fraction(3, 4) * Fraction(1, derived_order)
-    results.append(BoundResult("derived-bound", "<=", pr, rhs, pr <= rhs))
+    compare("derived-bound", pr, Fraction(1, 4) + Fraction(3, 4) * Fraction(1, derived_order))
 
     d = ctx.min_nonlinear_degree
     if d is None or abelian:
         why = "abelian group" if abelian else "no degree metadata"
-        results.append(BoundResult("min-degree-lower", "<", None, None, None, why))
-        results.append(BoundResult("min-degree-upper", "<=", None, None, None, why))
+        skip("min-degree-lower", why)
+        skip("min-degree-upper", why)
     else:
-        low = Fraction(1, derived_order)
-        up = Fraction(1, d * d) + (1 - Fraction(1, d * d)) * Fraction(1, derived_order)
-        results.append(BoundResult("min-degree-lower", "<", low, pr, low < pr))
-        results.append(BoundResult("min-degree-upper", "<=", pr, up, pr <= up))
+        compare("min-degree-lower", Fraction(1, derived_order), pr)
+        compare("min-degree-upper", pr,
+                Fraction(1, d * d) + (1 - Fraction(1, d * d)) * Fraction(1, derived_order))
 
-    if ctx.orbit_subgroup is None:
-        results.append(
-            BoundResult("orbit-bound", "<=", None, None, None, "no subgroup supplied")
-        )
+    N = ctx.orbit_subgroup
+    if N is None:
+        skip("orbit-bound", "no subgroup supplied")
     else:
-        N = ctx.orbit_subgroup
         orbits = orbit_count_on_normal(G, N)
         quot = quotient(G, N)
         c = ctx.orbit_class_bound
@@ -484,15 +436,9 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
                 for S in all_subgroups(quot)
             )
         if c is None:
-            results.append(
-                BoundResult(
-                    "orbit-bound", "<=", None, None, None,
-                    "no class bound supplied and quotient above cutoff",
-                )
-            )
+            skip("orbit-bound", "no class bound supplied and quotient above cutoff")
         else:
-            rhs = Fraction(c * orbits, n)
-            results.append(BoundResult("orbit-bound", "<=", pr, rhs, pr <= rhs))
+            compare("orbit-bound", pr, Fraction(c * orbits, n))
 
     return replace(base, bounds=tuple(results))
 
@@ -543,6 +489,7 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
     are brute force over H x H; the dichotomy "each count is 0 or
     |H|^2 n_ij/(n_i n_j)" and the reconstruction of Pr are asserted.
     """
+    _check_parent(G, H)
     members = np.asarray(H.members, dtype=_DTYPE)
     block = G.op[np.ix_(members, members)]
     if not np.array_equal(block, block.T):
@@ -558,16 +505,11 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
     h_mask = np.zeros(n_total, dtype=bool)
     h_mask[members] = True
 
-    images: list[np.ndarray] = []
-    image_sets: list[frozenset[int]] = []
     h_comms = _commutators(G, members, reps)
-    for i in range(n):
-        img = np.unique(h_comms[:, i])
-        if not h_mask[img].all():
-            raise PreconditionFailed("commutator image escapes the subgroup")
-        images.append(img)
-        image_sets.append(frozenset(int(v) for v in img))
-    image_sizes = tuple(int(img.size) for img in images)
+    if not h_mask[h_comms].all():
+        raise PreconditionFailed("commutator image escapes the subgroup")
+    images = [frozenset(col) for col in h_comms.T.tolist()]
+    image_sizes = tuple(map(len, images))
 
     # one block reduction of the commuting matrix gives the whole grid
     by_coset = np.argsort(coset_of, kind="stable").astype(_DTYPE)
@@ -581,7 +523,7 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
     rep_comms = _commutators(G, reps, reps)
     for i in range(n):
         for j in range(n):
-            n_ij = len(image_sets[i] & image_sets[j])
+            n_ij = len(images[i] & images[j])
             inter_sizes[i][j] = n_ij
             count = int(grid[i, j])
             expected = h_order * h_order * n_ij // (image_sizes[i] * image_sizes[j])
@@ -592,9 +534,7 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
                 )
             # emptiness of H_j  intersect  [x_j,x_i]*H_i must match count == 0
             shift_row = G.op[rep_comms[j, i]]
-            hat_nonempty = any(
-                int(shift_row[u]) in image_sets[j] for u in images[i]
-            )
+            hat_nonempty = any(int(shift_row[u]) in images[j] for u in images[i])
             if hat_nonempty != (count > 0):
                 raise AssertionError(
                     f"coset-gate mismatch at ({i},{j}): "

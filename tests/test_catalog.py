@@ -272,6 +272,33 @@ def test_survey_failed_rows_never_abort(tmp_path):
     assert "FAILED" in report.to_csv()
 
 
+def test_catalog_numbers_must_be_integers(tmp_path):
+    """A degree or family param that is not a JSON integer is a FAILED row
+    naming the field, never truncated (4.5 -> 4, 3.9 -> 3), read as 0 or 1
+    (a boolean) or parsed from a string."""
+    bad = {
+        "params-float": {"family": "dihedral", "params": [4.5]},
+        "params-bool": {"family": "cyclic", "params": [True]},
+        "params-string": {"family": "cyclic", "params": ["4"]},
+        "degree-float": {"degree": 3.9, "gens": ["(1 2 3)"]},
+        "degree-bool": {"degree": True, "gens": ["()"]},
+        "degree-string": {"degree": "3", "gens": ["(1 2 3)"]},
+    }
+    lines = [
+        {"name": "D4", "source": "family", "family": "dihedral", "params": [4]},
+        {"name": "C3", "source": "permutations", "degree": 3, "gens": ["(1 2 3)"]},
+    ]
+    for name, fields in bad.items():
+        source = "family" if "family" in fields else "permutations"
+        lines.append({"name": name, "source": source, **fields})
+    rows = {r.name: r for r in survey(ingest(write_catalog(tmp_path, lines))).rows}
+    assert rows["D4"].order == 8 and rows["C3"].order == 3
+    for name in bad:
+        field = name.split("-")[0]
+        assert rows[name].status == "failed", name
+        assert field in rows[name].error and "must be an integer" in rows[name].error
+
+
 def test_survey_erdos_turan_invariant(corpus64):
     report = survey(corpus_entries(corpus64))
     for row in report.rows:

@@ -573,6 +573,20 @@ _D4_BOUNDS_CSV = (
     "D4,8,5,5/8,4,holds,holds,holds,holds,holds,skipped,skipped,skipped\n"
 )
 
+_S4_BOUNDS_TEXT = (
+    "5/24\n"
+    "gustafson: holds\n"
+    "gustafson-equality: holds (equality at 5/8 holds exactly when the central "
+    "quotient is the Klein four-group)\n"
+    "erdos-turan: holds (class count k vs log2(log2(order)), checked as "
+    "order <= 2^(2^k))\n"
+    "fitting-index: holds (squared to keep the comparison rational)\n"
+    "derived-bound: holds\n"
+    "min-degree-lower: skipped (no degree metadata)\n"
+    "min-degree-upper: skipped (no degree metadata)\n"
+    "orbit-bound: skipped (no subgroup supplied)\n"
+)
+
 _SHA256 = {
     ("survey", "--corpus", "64", "--json"):
         "f53cde71e4c642d7bd81f79da10246d7a04831966b4dda0e4d94d69595559b4b",
@@ -592,6 +606,8 @@ def test_golden_outputs(capsys, monkeypatch):
     code, out, _ = run(capsys, "decompose", "--family", "symmetric", "--params", "4",
                        "--json")
     assert code == 0 and out == json.dumps(_S4_DECOMPOSITION, indent=2) + "\n"
+    code, out, _ = run(capsys, "pr", "--family", "symmetric", "--params", "4", "--bounds")
+    assert code == 0 and out == _S4_BOUNDS_TEXT
     for argv, digest in _SHA256.items():
         code, out, _ = run(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -744,6 +744,17 @@ def test_normal_core(named, subgroups_of):
     assert normal_core(s3, h2).members == (0,)
 
 
+@pytest.mark.parametrize(
+    "entry", [subgroup_table, is_normal, normal_core, quotient, orbit_count_on_normal]
+)
+def test_subgroup_of_another_table_is_refused(named, entry):
+    """A subgroup's members index its own parent: the order-4 subgroup of
+    C8 is no subset of D4 that any of these may read."""
+    c8 = make(FamilySpec("cyclic", (8,)))[0]
+    with pytest.raises(ValueError, match="subgroup belongs to"):
+        entry(named["d4"], Subgroup(c8, (0, 2, 4, 6)))
+
+
 def test_normal_core_properties(corpus48, normals_of, subgroups_of):
     import math
 

@@ -14,11 +14,13 @@ import commprob.probability
 from commprob.errors import PreconditionFailed
 from commprob.families import FamilySpec, central_product, make
 from commprob.groups import (
+    Subgroup,
     abelian_normal_subgroups,
     center,
     derived_subgroup,
     element_orders,
     is_abelian,
+    largest_abelian_normal_subgroup,
     subgroup_from_generators,
     subgroup_from_members,
     subgroup_table,
@@ -394,6 +396,43 @@ def test_bound_entries_internally_consistent(corpus16, named):
             assert b.holds == relations[b.relation](b.lhs, b.rhs), b
 
 
+def test_each_bound_reports_one_relation(corpus16):
+    """A bound names the same relation whether its entry is skipped or
+    evaluated, over every context shape the suite accepts."""
+    relations = {}
+    for table, _ in corpus16:
+        N = center(table)
+        for ctx in (None, BoundContext(min_nonlinear_degree=2),
+                    BoundContext(orbit_subgroup=N)):
+            for b in check_bounds(table, ctx).bounds:
+                relations.setdefault(b.bound, set()).add((b.relation, b.skipped))
+    for bound, seen in relations.items():
+        assert len({rel for rel, _ in seen}) == 1, (bound, seen)
+    # order <= 2 skips erdos-turan and every larger order evaluates it
+    assert {skipped for _, skipped in relations["erdos-turan"]} == {False, True}
+
+
+def test_bound_and_decomposition_results_are_pinned(corpus128):
+    """Every bound report under four context shapes, and the decomposition
+    over the largest abelian normal subgroup, for the members of order 3
+    to 96 of corpus(128), as one sha256 taken while each bound still wrote
+    its verdict beside its relation."""
+    h = hashlib.sha256()
+    for table, spec in corpus128:
+        if not 3 <= table.order <= 96:
+            continue
+        N = center(table)
+        for ctx in (None, BoundContext(min_nonlinear_degree=2),
+                    BoundContext(orbit_subgroup=N),
+                    BoundContext(orbit_subgroup=N, orbit_class_bound=3)):
+            h.update(f"{spec.name}|{check_bounds(table, ctx)!r}\n".encode())
+        form = abelian_decomposition(table, largest_abelian_normal_subgroup(table))
+        h.update(f"{spec.name}|{form!r}\n".encode())
+    assert h.hexdigest() == (
+        "22e5d9d2bc39d6a012bad1fcfdf102d4a94e71aedd054ecabf2b5c414be3f333"
+    )
+
+
 def test_report_serialization_roundtrip(named):
     rep = check_bounds(named["d4"])
     data = rep.to_json_dict()
@@ -451,6 +490,16 @@ def test_decomposition_preconditions(named):
     h2 = subgroup_from_generators(s3, [next(x for x in range(6) if element_orders(s3)[x] == 2)])
     with pytest.raises(PreconditionFailed):
         abelian_decomposition(s3, h2)
+
+
+def test_subgroup_of_another_table_is_refused(named):
+    """The decomposition and the orbit bound read only subgroups of G."""
+    c8 = make(FamilySpec("cyclic", (8,)))[0]
+    foreign = Subgroup(c8, (0, 2, 4, 6))
+    with pytest.raises(ValueError, match="subgroup belongs to"):
+        abelian_decomposition(named["d4"], foreign)
+    with pytest.raises(ValueError, match="subgroup belongs to"):
+        check_bounds(named["d4"], BoundContext(orbit_subgroup=foreign))
 
 
 def test_multiplicativity_sample(corpus64):
