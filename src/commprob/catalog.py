@@ -14,7 +14,9 @@ report, and each of its serializations, is deterministic.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,7 +213,8 @@ def ingest(path) -> list[CatalogEntry]:
 
 @dataclass(frozen=True)
 class EntryFilter:
-    """Predicate over surveyed rows; unset fields do not constrain.
+    """Predicate over surveyed rows; a field left None or False does not
+    constrain.
 
     ``p_power`` must be a prime p up to ``ORDER_CAP``; it keeps groups of
     p-power order, the trivial group included. No group under the cap
@@ -237,51 +240,36 @@ class EntryFilter:
         if p is not None and prime_power(p) != (p, 1):
             raise ValueError(f"p-group filter needs a prime, got {p}")
 
+    def _constraints(self):
+        """(label, test, value) of each field that constrains, in
+        ``describe`` order: every value but None and False, so that
+        ``max_order=0`` and ``tag=""`` constrain too."""
+        for name, label, test in _FILTERS:
+            value = getattr(self, name)
+            if value is not None and value is not False:
+                yield label, test, value
+
     def describe(self) -> str:
-        parts = []
-        if self.max_order is not None:
-            parts.append(f"order<={self.max_order}")
-        if self.min_order is not None:
-            parts.append(f"order>={self.min_order}")
-        if self.p_power is not None:
-            parts.append(f"p-group:{self.p_power}")
-        if self.odd_order:
-            parts.append("odd-order")
-        if self.abelian_only:
-            parts.append("abelian")
-        if self.nonabelian_only:
-            parts.append("nonabelian")
-        if self.max_center_index is not None:
-            parts.append(f"center-index<={self.max_center_index}")
-        if self.tag is not None:
-            parts.append(f"tag:{self.tag}")
-        return ", ".join(parts) if parts else "all"
+        return ", ".join(label.format(v) for label, _, v in self._constraints()) or "all"
 
     def matches(self, row: "SurveyRow") -> bool:
-        if row.status != "ok":
-            return False
-        if self.max_order is not None and row.order > self.max_order:
-            return False
-        if self.min_order is not None and row.order < self.min_order:
-            return False
-        if self.p_power is not None and row.order > 1:
-            pk = prime_power(row.order)
-            if pk is None or pk[0] != self.p_power:
-                return False
-        if self.odd_order and row.order % 2 == 0:
-            return False
-        if self.abelian_only and not row.is_abelian:
-            return False
-        if self.nonabelian_only and row.is_abelian:
-            return False
-        if (
-            self.max_center_index is not None
-            and row.center_index > self.max_center_index
-        ):
-            return False
-        if self.tag is not None and self.tag not in row.tags:
-            return False
-        return True
+        return row.status == "ok" and all(test(row, v) for _, test, v in self._constraints())
+
+
+# each EntryFilter field, its ``describe`` label (formatted with the
+# field's value) and its test of an "ok" row given that value; order 1
+# is a power of every prime
+_FILTERS = (
+    ("max_order", "order<={}", lambda row, v: row.order <= v),
+    ("min_order", "order>={}", lambda row, v: row.order >= v),
+    ("p_power", "p-group:{}",
+     lambda row, v: row.order == 1 or (prime_power(row.order) or (0,))[0] == v),
+    ("odd_order", "odd-order", lambda row, v: row.order % 2 == 1),
+    ("abelian_only", "abelian", lambda row, v: row.is_abelian),
+    ("nonabelian_only", "nonabelian", lambda row, v: not row.is_abelian),
+    ("max_center_index", "center-index<={}", lambda row, v: row.center_index <= v),
+    ("tag", "tag:{}", lambda row, v: v in row.tags),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +321,17 @@ class SurveyReport:
         return json.dumps(data, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["name,order,k,pr"]
+        """A header and one row per entry, a name quoted where it holds a
+        comma, a quote or a line break."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["name", "order", "k", "pr"])
         for r in self.rows:
             if r.status == "ok":
-                lines.append(
-                    f"{r.name},{r.order},{r.k},{format_rational(r.pr)}"
-                )
+                writer.writerow([r.name, r.order, r.k, format_rational(r.pr)])
             else:
-                lines.append(f"{r.name},,,FAILED")
-        return "\n".join(lines) + "\n"
+                writer.writerow([r.name, "", "", "FAILED"])
+        return out.getvalue()
 
 
 def _compute_row(entry: CatalogEntry) -> SurveyRow:

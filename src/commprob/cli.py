@@ -10,6 +10,7 @@ with --open / --closed-left / --closed-right modifiers. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -92,17 +93,11 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _filter_from_args(args) -> EntryFilter | None:
-    flt = EntryFilter(
-        max_order=args.filter_max_order,
-        min_order=args.filter_min_order,
-        p_power=args.filter_p_group,
-        odd_order=args.filter_odd,
-        abelian_only=args.filter_abelian,
-        nonabelian_only=args.filter_nonabelian,
-        max_center_index=args.filter_max_center_index,
-        tag=args.filter_tag,
-    )
-    return None if flt.describe() == "all" else flt
+    """The filter of the ``--filter-*`` flags, each stored as ``filter_<field>``;
+    None when no flag constrains."""
+    flt = EntryFilter(**{f.name: getattr(args, f"filter_{f.name}")
+                         for f in dataclasses.fields(EntryFilter)})
+    return None if flt == EntryFilter() else flt
 
 
 def _add_survey_flags(p: argparse.ArgumentParser):
@@ -117,11 +112,13 @@ def _add_survey_flags(p: argparse.ArgumentParser):
     p.add_argument("--closed", action="store_true", help="closed at both ends")
     p.add_argument("--filter-max-order", type=int, default=None)
     p.add_argument("--filter-min-order", type=int, default=None)
-    p.add_argument("--filter-p-group", type=int, default=None, metavar="P",
-                   help="groups of order a power of the prime P")
-    p.add_argument("--filter-odd", action="store_true")
-    p.add_argument("--filter-abelian", action="store_true")
-    p.add_argument("--filter-nonabelian", action="store_true")
+    p.add_argument("--filter-p-group", dest="filter_p_power", type=int, default=None,
+                   metavar="P", help="groups of order a power of the prime P")
+    p.add_argument("--filter-odd", dest="filter_odd_order", action="store_true")
+    abelian = p.add_mutually_exclusive_group()
+    abelian.add_argument("--filter-abelian", dest="filter_abelian_only", action="store_true")
+    abelian.add_argument("--filter-nonabelian", dest="filter_nonabelian_only",
+                         action="store_true")
     p.add_argument("--filter-max-center-index", type=int, default=None)
     p.add_argument("--filter-tag", default=None)
     p.add_argument("--jobs", type=int, default=1,
@@ -298,7 +295,10 @@ def _entries_from_args(parser, args):
 def _cmd_survey(parser, args) -> int:
     """``survey``, and ``scan``, whose ``--interval`` is ``survey --scan``.
 
-    The interval is checked before anything is built or surveyed."""
+    The flags and the interval are checked before anything is built or
+    surveyed."""
+    if args.open and (args.closed or args.closed_left or args.closed_right):
+        parser.error("--open is not allowed with --closed, --closed-left or --closed-right")
     if args.scan:
         lo, hi = _parse_interval(args.scan)
     entries, universe = _entries_from_args(parser, args)

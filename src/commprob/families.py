@@ -16,6 +16,7 @@ would hold more than ``ORDER_CAP**2`` cells (one table at the cap).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -44,16 +45,33 @@ SYMMETRIC_DEGREE_CAP = 7
 ALTERNATING_DEGREE_CAP = 7
 EXTRASPECIAL_ORDER_CAP = 3125
 
-# each base family's builder, named here and looked up when a member is
-# made (so a replaced module attribute is the one called), and its
-# parameter count; this order fixes the family codes of product params
+
+@dataclass(frozen=True)
+class _Family:
+    """A base family: its builder, named here and looked up when a member
+    is made (so a replaced module attribute is the one called), and its
+    parameter count. A one-parameter family also states its parameter's
+    noun, least value and optional cap, checked in that order before
+    ``order`` is formed."""
+
+    builder: str
+    arity: int
+    noun: str = ""
+    least: int = 1
+    order: Callable[[int], int] | None = None
+    cap: int | None = None
+
+
+# this order fixes the family codes of product params
 _FAMILIES = {
-    "cyclic": ("cyclic_table", 1),
-    "dihedral": ("dihedral_group", 1),
-    "symmetric": ("symmetric_group", 1),
-    "alternating": ("alternating_group", 1),
-    "dicyclic": ("dicyclic_table", 1),
-    "extraspecial": ("heisenberg_table", 2),
+    "cyclic": _Family("cyclic_table", 1, "order", 1, lambda n: n),
+    "dihedral": _Family("dihedral_group", 1, "parameter", 2, lambda n: 2 * n),
+    "symmetric": _Family("symmetric_group", 1, "degree", 1, math.factorial,
+                         SYMMETRIC_DEGREE_CAP),
+    "alternating": _Family("alternating_group", 1, "degree", 3,
+                           lambda n: math.factorial(n) // 2, ALTERNATING_DEGREE_CAP),
+    "dicyclic": _Family("dicyclic_table", 1, "parameter", 2, lambda n: 4 * n),
+    "extraspecial": _Family("heisenberg_table", 2),
 }
 BASE_FAMILIES = tuple(_FAMILIES)
 
@@ -217,34 +235,16 @@ def _order_of(fam: str, params: tuple[int, ...]) -> int:
         return _order_of(left.family, left.params) * _order_of(right.family, right.params)
     if fam not in _FAMILIES:
         raise UnsupportedParams(f"unknown family {fam!r}")
-    arity = _FAMILIES[fam][1]
-    if len(params) != arity:
-        raise UnsupportedParams(f"{fam} takes {arity} parameter(s), got {list(params)}")
-    n = params[0]
-    if fam == "cyclic":
-        if n < 1:
-            raise UnsupportedParams("cyclic order must be >= 1")
-        return n
-    if fam == "dihedral":
-        if n < 2:
-            raise UnsupportedParams("dihedral parameter must be >= 2")
-        return 2 * n
-    if fam == "symmetric":
-        if n < 1:
-            raise UnsupportedParams("symmetric degree must be >= 1")
-        if n > SYMMETRIC_DEGREE_CAP:
-            raise OrderCapExceeded(f"symmetric degree capped at {SYMMETRIC_DEGREE_CAP}")
-        return math.factorial(n)
-    if fam == "alternating":
-        if n < 3:
-            raise UnsupportedParams("alternating degree must be >= 3")
-        if n > ALTERNATING_DEGREE_CAP:
-            raise OrderCapExceeded(f"alternating degree capped at {ALTERNATING_DEGREE_CAP}")
-        return math.factorial(n) // 2
-    if fam == "dicyclic":
-        if n < 2:
-            raise UnsupportedParams("dicyclic parameter must be >= 2")
-        return 4 * n
+    family = _FAMILIES[fam]
+    if len(params) != family.arity:
+        raise UnsupportedParams(f"{fam} takes {family.arity} parameter(s), got {list(params)}")
+    if family.order is not None:
+        (n,) = params
+        if n < family.least:
+            raise UnsupportedParams(f"{fam} {family.noun} must be >= {family.least}")
+        if family.cap is not None and n > family.cap:
+            raise OrderCapExceeded(f"{fam} {family.noun} capped at {family.cap}")
+        return family.order(n)
     p, s = params
     if s < 1 or p < 2:
         raise UnsupportedParams("extraspecial needs a prime p and s >= 1")
@@ -272,7 +272,7 @@ def make(spec: FamilySpec) -> tuple[GroupTable, FamilySpec]:
     if fam == "product":
         left, right = _split_product_params(params)
         return _product(make(left), make(right), spec)
-    table = globals()[_FAMILIES[fam][0]](*params)
+    table = globals()[_FAMILIES[fam].builder](*params)
     pr, d = _known(fam, params)
     return table, replace(spec, name=table.name, expected_pr=pr, expected_d=d)
 
@@ -318,7 +318,7 @@ def _split_product_params(params: tuple[int, ...]) -> tuple[FamilySpec, FamilySp
         if not 0 <= code < len(BASE_FAMILIES):
             raise UnsupportedParams(f"unknown family code {code} in product params")
         fam = BASE_FAMILIES[code]
-        arity = _FAMILIES[fam][1]
+        arity = _FAMILIES[fam].arity
         if len(vals) < arity:
             raise UnsupportedParams("truncated product params")
         sides.append(FamilySpec(family=fam, params=tuple(vals[:arity])))
@@ -344,20 +344,16 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
     """
     if max_order < 1:
         raise UnsupportedParams("max_order must be >= 1")
+    # one-parameter members in order of their parameter, each family from
+    # its least value up to its cap; the trivial group only once, as C1
     base_specs: list[FamilySpec] = []
-    base_specs += [FamilySpec("cyclic", (n,)) for n in range(1, max_order + 1)]
-    base_specs += [FamilySpec("dihedral", (n,)) for n in range(2, max_order // 2 + 1)]
-    base_specs += [FamilySpec("dicyclic", (m,)) for m in range(2, max_order // 4 + 1)]
-    fact = 2
-    n = 2
-    while n <= SYMMETRIC_DEGREE_CAP and fact <= max_order:
-        base_specs.append(FamilySpec("symmetric", (n,)))
-        n += 1
-        fact *= n
-    n = 3
-    while n <= ALTERNATING_DEGREE_CAP and math.factorial(n) // 2 <= max_order:
-        base_specs.append(FamilySpec("alternating", (n,)))
-        n += 1
+    for fam in ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating"):
+        family = _FAMILIES[fam]
+        n, cap = family.least, family.cap
+        while (cap is None or n <= cap) and (order := family.order(n)) <= max_order:
+            if order > 1 or not base_specs:
+                base_specs.append(FamilySpec(fam, (n,)))
+            n += 1
     p = 2
     while p**3 <= min(max_order, EXTRASPECIAL_ORDER_CAP):
         if prime_power(p) == (p, 1):

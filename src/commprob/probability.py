@@ -10,6 +10,8 @@ no comparison is ever made in floating point.
 
 from __future__ import annotations
 
+import csv
+import io
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -321,14 +323,15 @@ class PrReport:
         }
 
     def to_csv(self) -> str:
-        """Two CSV lines (header and row) with one column per bound."""
-        head = ["name", "order", "k", "pr", "center_index"]
-        row = [self.name, str(self.order), str(self.k),
-               format_rational(self.pr), str(self.center_index)]
-        for b in self.bounds:
-            head.append(b.bound)
-            row.append(b.status)
-        return ",".join(head) + "\n" + ",".join(row) + "\n"
+        """Two CSV lines (header and row) with one column per bound, the
+        name quoted where it holds a comma, a quote or a line break."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["name", "order", "k", "pr", "center_index",
+                         *(b.bound for b in self.bounds)])
+        writer.writerow([self.name, self.order, self.k, format_rational(self.pr),
+                         self.center_index, *(b.status for b in self.bounds)])
+        return out.getvalue()
 
 
 def pr_report(G: GroupTable) -> PrReport:
@@ -404,7 +407,7 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
         )
 
     if n > SUBGROUP_CUTOFF:
-        skip("fitting-index", "skipped by context")
+        skip("fitting-index", f"order above {SUBGROUP_CUTOFF}")
     else:
         idx = n // fitting_subgroup(G).order
         compare("fitting-index", pr * pr, Fraction(1, idx),
@@ -431,10 +434,9 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
         quot = quotient(G, N)
         c = ctx.orbit_class_bound
         if c is None and quot.order <= SUBGROUP_CUTOFF:
-            c = max(
-                conjugacy_classes(subgroup_table(quot, S)).count
-                for S in all_subgroups(quot)
-            )
+            # k(S) = Pr(S) |S|, and Pr(S) is S's commuting pairs over |S|^2
+            blocks = (quot.op[np.ix_(S.members, S.members)] for S in all_subgroups(quot))
+            c = max(int((b == b.T).sum()) // len(b) for b in blocks)
         if c is None:
             skip("orbit-bound", "no class bound supplied and quotient above cutoff")
         else:

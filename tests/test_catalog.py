@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import hashlib
+import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -346,6 +350,21 @@ def test_scan_respects_filter(corpus16):
     assert "EMPTY (universe:" in f.summary()
 
 
+def test_survey_csv_quotes_names():
+    """A name holding a comma, a quote or a line break is quoted, so that
+    each row keeps one column per header field, FAILED rows too."""
+    names = ["a,b", 'say "hi"', "two\nlines", "plain"]
+    entries = [entry_from_family(FamilySpec("cyclic", (3,), name=n)) for n in names]
+    entries.append(entry_from_family(FamilySpec("cyclic", (0,), name="bad,one")))
+    text = survey(entries).to_csv()
+    head, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert head == ["name", "order", "k", "pr"]
+    assert [row[0] for row in rows] == names + ["bad,one"]
+    assert all(len(row) == len(head) for row in rows)
+    assert rows[-1] == ["bad,one", "", "", "FAILED"]
+    assert "\nplain,3,3,1\n" in text
+
+
 def test_filter_descriptions():
     assert EntryFilter().describe() == "all"
     f = EntryFilter(max_order=343, p_power=7, odd_order=True)
@@ -379,3 +398,29 @@ def test_small_center_index_spectrum_snapshot(corpus128):
         Fraction(5, 8),
         Fraction(1),
     }
+
+
+def test_filter_descriptions_and_matches_are_pinned(corpus64):
+    """``describe()`` and ``matches(row)`` of every filter over a grid of
+    field values, including the falsy ``max_order=0`` and ``tag=""`` that
+    still constrain, over the rows of corpus(64) tagged by order mod 3
+    and one FAILED row, as one sha256 taken while each filter was still
+    written out in both methods."""
+    tags_by_residue = ((), ("t1",), ("", "t2"))
+    entries = [entry_from_family(spec, tags_by_residue[table.order % 3], table)
+               for table, spec in corpus64]
+    rows = survey(entries).rows + (
+        survey([entry_from_family(FamilySpec("cyclic", (0,)))]).rows
+    )
+    assert [r.status for r in rows].count("failed") == 1
+    h = hashlib.sha256()
+    for values in itertools.product(
+        (None, 0, 12, 64), (None, 0, 9), (None, 2, 3), (False, True),
+        (False, True), (False, True), (None, 0, 4), (None, "", "t1"),
+    ):
+        flt = EntryFilter(*values)
+        bits = "".join("1" if flt.matches(row) else "0" for row in rows)
+        h.update(f"{values!r}|{flt.describe()}|{bits}\n".encode())
+    assert h.hexdigest() == (
+        "4382048704181be63e86c5f57e2167af88507d6ebcc62e7b86bd9f9fff579f99"
+    )

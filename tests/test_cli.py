@@ -338,17 +338,36 @@ def test_negative_degree_is_a_domain_error(capsys):
     assert code == 1 and out == "" and "error: degree must be >= 0" in err
 
 
-def test_bad_interval_fails_before_surveying(capsys, monkeypatch):
-    def no_survey(*args, **kwargs):
-        raise AssertionError("surveyed before the interval was checked")
+def _no_survey(*args, **kwargs):
+    raise AssertionError("surveyed before the flags were checked")
 
-    monkeypatch.setattr(commprob.cli, "survey", no_survey)
+
+def test_bad_interval_fails_before_surveying(capsys, monkeypatch):
+    monkeypatch.setattr(commprob.cli, "survey", _no_survey)
     for argv in (
         ["scan", "--corpus", "128", "--interval", "1/2..1/0"],
         ["survey", "--corpus", "4", "--scan", "1/2..1/3"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "error:" in err
+
+
+def test_abelian_and_nonabelian_filters_are_exclusive(capsys, monkeypatch):
+    monkeypatch.setattr(commprob.cli, "survey", _no_survey)
+    for argv in (["survey", "--corpus", "8", "--filter-abelian", "--filter-nonabelian"],
+                 ["scan", "--corpus", "8", "--interval", "1/2..1", "--filter-nonabelian",
+                  "--filter-abelian"]):
+        code, out, err = _call(capsys, argv)
+        assert code == 2 and out == "" and "not allowed with argument" in err
+
+
+def test_open_is_refused_with_a_closed_end(capsys, monkeypatch):
+    monkeypatch.setattr(commprob.cli, "survey", _no_survey)
+    for closed in ("--closed", "--closed-left", "--closed-right"):
+        for command in (["scan", "--corpus", "8", "--interval", "1/2..1"],
+                        ["survey", "--corpus", "8", "--scan", "1/2..1"]):
+            code, out, err = _call(capsys, [*command, "--open", closed])
+            assert code == 2 and out == "" and "--open is not allowed with" in err
 
 
 def test_json_and_csv_are_exclusive(capsys):
@@ -611,3 +630,34 @@ def test_golden_outputs(capsys, monkeypatch):
     for argv, digest in _SHA256.items():
         code, out, _ = run(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# every filter flag, alone and in pairs, including the falsy values that
+# still constrain; scans under each accepted set of interval flags
+_FILTER_FLAG_SETS = (
+    [], ["--filter-max-order", "0"], ["--filter-max-order", "12"],
+    ["--filter-min-order", "0"], ["--filter-min-order", "9", "--filter-max-order", "20"],
+    ["--filter-p-group", "2"], ["--filter-p-group", "3", "--filter-odd"], ["--filter-odd"],
+    ["--filter-abelian"], ["--filter-nonabelian"], ["--filter-max-center-index", "0"],
+    ["--filter-max-center-index", "4", "--filter-nonabelian"],
+    ["--filter-tag", ""], ["--filter-tag", "t1"],
+)
+_INTERVAL_FLAG_SETS = ([], ["--open"], ["--closed-left"], ["--closed-right"], ["--closed"])
+
+
+def test_survey_and_scan_outputs_are_pinned(capsys):
+    """rc and stdout of ``survey --json``, ``survey --csv`` and ``scan``
+    on corpus(24) under each filter flag set, as one sha256 taken while
+    each flag was still copied into its filter field by hand."""
+    h = hashlib.sha256()
+    for flags in _FILTER_FLAG_SETS:
+        argvs = [["survey", "--corpus", "24", "--json", *flags],
+                 ["survey", "--corpus", "24", "--csv", *flags]]
+        argvs += [["scan", "--corpus", "24", "--interval", "1/2..1", "--json",
+                   *flags, *ends] for ends in _INTERVAL_FLAG_SETS]
+        for argv in argvs:
+            code, out, _ = _call(capsys, argv)
+            h.update(f"{argv!r}|{code}|{out}\n".encode())
+    assert h.hexdigest() == (
+        "723bf43d8ffac98bff7e280a35397480f6c9c3c190846007cc5fdd288c3a2406"
+    )

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commprob.errors import OrderCapExceeded, UnsupportedParams
+from commprob.errors import CommprobError, OrderCapExceeded, UnsupportedParams
 from commprob.families import (
     FamilySpec,
     central_product,
@@ -345,3 +345,41 @@ def test_order_is_checked_before_building(monkeypatch, capsys):
     assert main(["pr", "--family", "cyclic", "--params", "101"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "101" in err and "100" in err
+
+
+# the domain edges of every one-parameter family and of extraspecial's
+# (p, s), plus a bad name, bad arities and bad product params
+_EDGE_SPECS = (
+    [FamilySpec(fam, (n,))
+     for fam in ("cyclic", "dihedral", "symmetric", "alternating", "dicyclic")
+     for n in (-1, 0, 1, 2, 3, 4, 7, 8, 10**18)]
+    + [FamilySpec("extraspecial", (p, s))
+       for p in (-1, 0, 1, 2, 3, 4, 5, 7, 10**18 + 9)
+       for s in (-1, 0, 1, 2, 3, 10**18)]
+    + [FamilySpec(fam, params) for fam, params in (
+        ("nosuch", (1,)), ("cyclic", ()), ("cyclic", (1, 2)), ("extraspecial", (3,)),
+        ("product", ()), ("product", (0,)), ("product", (0, 2)), ("product", (9, 1, 0, 1)),
+        ("product", (-1, 2, 0, 2)), ("product", (0, 2, 0, 3, 0, 4)),
+        ("product", (0, 2, 5, 3, 1)), ("product", (2, 8, 0, 2)), ("product", (0, 2, 1, 1)),
+    )]
+)
+
+
+def test_corpus_and_family_domains_are_pinned():
+    """The corpus(256) specs, names and op/inv bytes, and the outcome of
+    ``make`` (the filled spec, or the error type and message) at the edges
+    of each family's domain, as one sha256 taken while each family's
+    domain was still written out in ``_order_of`` and in ``corpus``."""
+    h = hashlib.sha256()
+    for table, spec in corpus(256):
+        h.update(f"{spec!r}|{table.name}|{table.op.dtype.str}|".encode())
+        h.update(table.op.tobytes() + table.inv.tobytes())
+    for spec in _EDGE_SPECS:
+        try:
+            outcome = repr(make(spec)[1])
+        except CommprobError as exc:
+            outcome = f"{type(exc).__name__}({exc})"
+        h.update(f"{spec!r}->{outcome}\n".encode())
+    assert h.hexdigest() == (
+        "5ee505581acb06370ecc02aa74cf0052e054c635cba17542e0156c91ec861814"
+    )

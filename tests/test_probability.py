@@ -3,6 +3,8 @@ decompositions. Brute-force oracles live here, written without numpy."""
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -21,6 +23,7 @@ from commprob.groups import (
     element_orders,
     is_abelian,
     largest_abelian_normal_subgroup,
+    orbit_count_on_normal,
     subgroup_from_generators,
     subgroup_from_members,
     subgroup_table,
@@ -431,6 +434,31 @@ def test_bound_and_decomposition_results_are_pinned(corpus128):
     assert h.hexdigest() == (
         "22e5d9d2bc39d6a012bad1fcfdf102d4a94e71aedd054ecabf2b5c414be3f333"
     )
+
+
+def test_orbit_bound_counts_classes_without_subgroup_tables(named, monkeypatch):
+    """k(S) of each subgroup S of G/N is read off S's block of the
+    quotient table, with no table built per subgroup."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a subgroup table")
+
+    monkeypatch.setattr(commprob.probability, "subgroup_table", no_table)
+    for key, c in (("d8", 5), ("s4", 5), ("es27", 9)):
+        G = named[key]
+        orbit = next(b for b in check_bounds(G, BoundContext(orbit_subgroup=center(G))).bounds
+                     if b.bound == "orbit-bound")
+        # the largest class count among the subgroups of G/Z(G)
+        assert orbit.rhs * G.order == c * orbit_count_on_normal(G, center(G))
+
+
+def test_report_csv_quotes_names(named):
+    """A name holding a comma, a quote or a line break is quoted, so that
+    the row keeps one column per header field."""
+    for name in ("a,b", 'say "hi"', "two\nlines", "plain"):
+        rep = check_bounds(dataclasses.replace(named["d4"], name=name))
+        head, row = list(csv.reader(rep.to_csv().splitlines(keepends=True)))
+        assert row[0] == name and len(row) == len(head)
+    assert rep.to_csv().splitlines()[1].startswith("plain,8,5,5/8,4,")
 
 
 def test_report_serialization_roundtrip(named):
