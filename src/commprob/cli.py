@@ -59,6 +59,10 @@ def _group_from_args(parser: argparse.ArgumentParser, args) -> GroupTable:
                if getattr(args, s) is not None]
     if len(sources) != 1:
         parser.error("exactly one of --family/--catalog/--cayley/--perms is required")
+    # a flag of another source would be silently ignored
+    for flag, source in (("params", "family"), ("degree", "perms"), ("name", "catalog")):
+        if getattr(args, flag) is not None and getattr(args, source) is None:
+            parser.error(f"--{flag} needs --{source}")
     if args.family is not None:
         table, _ = make(FamilySpec(args.family, tuple(args.params or ())))
         return table

@@ -344,6 +344,14 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
     """
     if max_order < 1:
         raise UnsupportedParams("max_order must be >= 1")
+    # the cyclic members C1, ..., CN alone hold N(N+1)(2N+1)/6 cells: past
+    # the cap they refuse at once, before the lists below grow with N
+    cyclic_cells = max_order * (max_order + 1) * (2 * max_order + 1) // 6
+    if cyclic_cells > ORDER_CAP**2:
+        raise OrderCapExceeded(
+            f"corpus({max_order}) would hold at least {cyclic_cells} table cells "
+            f"at once, above the {ORDER_CAP**2} of one table at the order cap"
+        )
     # one-parameter members in order of their parameter, each family from
     # its least value up to its cap; the trivial group only once, as C1
     base_specs: list[FamilySpec] = []

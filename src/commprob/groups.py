@@ -10,11 +10,11 @@ Conjugation structure is computed from a small generating set S (greedy,
 ``GroupTable.generators``; r = |S| <= log2 n) rather than from all n^2
 pairs, by the orbit method (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 2005). Each generator gives one conjugation
-map x -> s^-1 x s, a single gather over the table. Conjugacy classes are
-the orbits of these r maps, the center is the centralizer of S, the
-derived subgroup is the normal closure of the commutators [s, t] with s, t
-in S, and a subset closed under conjugation by every s is normal. Memory
-stays O(r n) beyond the table itself.
+map x -> s^-1 x s, a row of ``GroupTable.conjugation``. Conjugacy classes
+are the orbits of these r maps, the center is their common fixed points,
+the derived subgroup is the normal closure of the commutators [s, t] with
+s, t in S, and a subset closed under every map is normal. Memory stays
+O(r n) beyond the table itself.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
@@ -25,8 +25,9 @@ The same greedy generators validate a Cayley table exactly, at every
 order: associativity by Light's test, (xs)y = x(sy) for each generator s
 only (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
 in O(n^2 log n) time, and inverses are found a block of rows at a time.
-A member set is checked to be a subgroup by the same closure, grown over
-positions in the set; structural operations take only such a ``Subgroup``.
+A member set is a subgroup when the same closure, started from its
+members, reaches nothing else; structural operations take only such a
+``Subgroup``.
 
 Conventions fixed once for the whole library:
 
@@ -40,6 +41,7 @@ All operations are pure functions; ``GroupTable``, ``Subgroup`` and
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -134,6 +136,15 @@ class GroupTable:
         """
         return tuple(_greedy(self.op))
 
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """The conjugation maps of the generators, read-only: row i maps
+        x to s_i^-1 x s_i for the i-th generator s_i (r rows of n)."""
+        gens = np.asarray(self.generators, dtype=_DTYPE)
+        maps = self.op[self.op[self.inv[gens]], gens[:, None]]
+        maps.setflags(write=False)
+        return maps
+
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
@@ -143,30 +154,16 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(int(m) for m in self.members))
+        mem = tuple(sorted(_elements(self.parent, self.members)))
         object.__setattr__(self, "members", mem)
         if not mem or mem[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
         n = self.parent.order
         if n % len(mem) != 0:
-            raise ValueError(
-                f"subgroup size {len(mem)} does not divide group order {n}"
-            )
-        # distinct members, the identity among them, are closed exactly when
-        # they span no more: grow their span over positions in the set, each
-        # pick's map refused unless it stays in the set (log2|H| + 1 picks)
-        position = {m: i for i, m in enumerate(mem)}
-        if len(position) < len(mem):  # a repeated member
+            raise ValueError(f"subgroup size {len(mem)} does not divide group order {n}")
+        # distinct members, the identity among them, are closed iff they span no more
+        if len(set(mem)) < len(mem) or _span(self.parent.op, mem).size != len(mem):
             raise ValueError("member set is not closed under the group operation")
-        op, arr = self.parent.op, np.asarray(mem, dtype=_DTYPE)
-
-        def column(p: int) -> list[int]:
-            col = [position.get(y, -1) for y in op[arr, mem[p]].tolist()]
-            if -1 in col:
-                raise ValueError("member set is not closed under the group operation")
-            return col
-
-        _generate(column, np.arange(len(mem)), [], [True] + [False] * (len(mem) - 1))
 
     @property
     def order(self) -> int:
@@ -179,8 +176,19 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Membership, read-only: ``mask[x]`` is whether x is a member."""
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.members)] = True
+        mask.setflags(write=False)
+        return mask
+
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        try:
+            return bool(self.mask[_elements(self.parent, [x])[0]])
+        except ValueError:  # no element of the parent
+            return False
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name or 'G'})"
@@ -693,34 +701,46 @@ def _greedy(op: np.ndarray) -> Iterator[int]:
         yield s
 
 
-def _generate(column, seed, right: list[list[int]], seen: list[bool]) -> None:
+def _generate(op: np.ndarray, seed, right: list[list[int]], seen: list[bool]) -> None:
     """Grow the subgroup marked in ``seen`` (generated by the maps in
     ``right``) in place by each seed element it does not yet hold, in
-    seed order, through :func:`_extend`; ``column(s)`` is the
-    right-multiplication map of s as a list."""
+    seed order, through :func:`_extend`, reading each new generator's
+    right-multiplication map off the table ``op``."""
     for s in np.asarray(seed, dtype=_DTYPE).ravel().tolist():
         if not seen[s]:
-            right.append(column(s))
+            right.append(op[:, s].tolist())
             _extend(right, seen)
 
 
 def _span(op: np.ndarray, seed) -> np.ndarray:
-    """Sorted members of the subgroup generated by ``seed``."""
+    """Sorted members of the subgroup generated by ``seed``. The flags
+    are read as bytes: numpy converts a list of n bools 5 times slower."""
     seen = [True] + [False] * (op.shape[0] - 1)
-    _generate(lambda s: op[:, s].tolist(), seed, [], seen)
-    return np.flatnonzero(seen).astype(_DTYPE)
+    _generate(op, seed, [], seen)
+    return np.flatnonzero(np.frombuffer(bytes(seen), dtype=bool)).astype(_DTYPE)
+
+
+def _elements(G: GroupTable, xs: Iterable[int]) -> list[int]:
+    """``xs`` as element indices of G; ``ValueError`` names one that
+    ``operator.index`` refuses (no float is truncated) or outside [0, n)."""
+    xs = list(xs)
+    try:
+        out = list(map(operator.index, xs))
+    except TypeError:  # only a value of neither type can be refused
+        bad = next(x for x in xs if not isinstance(x, (int, np.integer)))
+        raise ValueError(f"element index {bad!r} is not an integer") from None
+    if out and not 0 <= min(out) <= max(out) < G.order:
+        bad = next(i for i in out if not 0 <= i < G.order)
+        raise ValueError(f"element index {bad} outside [0, {G.order})")
+    return out
 
 
 def subgroup_from_members(G: GroupTable, members: Iterable[int]) -> Subgroup:
-    return Subgroup(G, tuple(int(m) for m in members))
+    return Subgroup(G, tuple(members))
 
 
 def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgroup:
-    gens = [int(g) for g in generators]
-    bad = next((g for g in gens if not 0 <= g < G.order), None)
-    if bad is not None:
-        raise ValueError(f"element index {bad} outside [0, {G.order})")
-    return Subgroup(G, tuple(_span(G.op, gens).tolist()))
+    return Subgroup(G, tuple(_span(G.op, _elements(G, generators)).tolist()))
 
 
 def _check_parent(G: GroupTable, H: Subgroup) -> None:
@@ -733,19 +753,10 @@ def subgroup_table(G: GroupTable, sub: Subgroup) -> GroupTable:
     """The member set of ``sub`` as a group in its own right (identity first)."""
     _check_parent(G, sub)
     members = np.asarray(sub.members, dtype=_DTYPE)
-    pos = np.zeros(G.order, dtype=_DTYPE)
-    pos[members] = np.arange(len(members), dtype=_DTYPE)
+    pos = np.cumsum(sub.mask, dtype=_DTYPE) - 1  # a member's place among them
     op = pos[G.op[np.ix_(members, members)]]
     inv = pos[G.inv[members]]
     return GroupTable(op=op, inv=inv, name=f"{G.name}|sub{len(members)}")
-
-
-def _conjugates(G: GroupTable, xs, by) -> np.ndarray:
-    """Row j, column i holds by[j]^-1 xs[i] by[j]: one conjugation map per
-    conjugator, restricted to xs."""
-    xs = np.asarray(xs, dtype=_DTYPE)
-    by = np.asarray(by, dtype=_DTYPE)
-    return G.op[G.op[np.ix_(G.inv[by], xs)], by[:, None]]
 
 
 def _orbit_labels(maps: np.ndarray) -> np.ndarray:
@@ -778,13 +789,12 @@ def _normal_closure(G: GroupTable, seed) -> np.ndarray:
     right: list[list[int]] = []
     pending = seed
     while True:
-        _generate(lambda s: G.op[:, s].tolist(), pending, right, seen)
-        mask = np.asarray(seen)
-        members = np.flatnonzero(mask).astype(_DTYPE)
-        pending = _conjugates(G, members, G.generators).ravel()
+        _generate(G.op, pending, right, seen)
+        mask = np.frombuffer(bytes(seen), dtype=bool)
+        pending = G.conjugation[:, mask].ravel()
         pending = pending[~mask[pending]]
         if not pending.size:
-            return members
+            return np.flatnonzero(mask).astype(_DTYPE)
 
 
 def _commutators(G: GroupTable, rows, cols) -> np.ndarray:
@@ -815,7 +825,7 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
     only. Classes are numbered by their smallest element and list their
     members in increasing order.
     """
-    label = _orbit_labels(_conjugates(G, np.arange(G.order), G.generators))
+    label = _orbit_labels(G.conjugation)
     reps = np.flatnonzero(label == np.arange(G.order))  # each orbit's smallest element
     class_of = np.searchsorted(reps, label).astype(_DTYPE)
     classes: list[list[int]] = [[] for _ in range(reps.size)]
@@ -826,7 +836,7 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
     """{g : gs = sg for all s in elements}; with all of G this is the center."""
-    elems = np.asarray(sorted(set(int(e) for e in elements)), dtype=_DTYPE)
+    elems = np.asarray(sorted(set(_elements(G, elements))), dtype=_DTYPE)
     if elems.size == 0:
         raise ValueError("centralizer of the empty set is not defined here")
     good = (G.op[:, elems] == G.op[elems, :].T).all(axis=1)
@@ -834,8 +844,10 @@ def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
 
 
 def center(G: GroupTable) -> Subgroup:
-    """The elements commuting with every generator."""
-    return centralizer(G, G.generators or (0,))
+    """The elements commuting with every generator: the common fixed
+    points of their conjugation maps."""
+    fixed = (G.conjugation == np.arange(G.order)).all(axis=0)
+    return Subgroup(G, tuple(np.flatnonzero(fixed).tolist()))
 
 
 def derived_subgroup(G: GroupTable) -> Subgroup:
@@ -849,9 +861,7 @@ def derived_subgroup(G: GroupTable) -> Subgroup:
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
     """Whether H^s lies in H for every generator s of G."""
     _check_parent(G, H)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[list(H.members)] = True
-    return bool(mask[_conjugates(G, H.members, G.generators)].all())
+    return bool(H.mask[G.conjugation[:, H.mask]].all())
 
 
 def _check_cutoff(G: GroupTable) -> None:
@@ -924,7 +934,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             if not covered[x]:
                 covered[op[members, x]] = True
                 seen = [True] + [False] * (G.order - 1)
-                _generate(lambda s: op[:, s].tolist(), np.append(members, x), [], seen)
+                _generate(op, np.append(members, x), [], seen)
                 yield np.asarray(seen)
 
     return _lattice(G, extensions)
@@ -950,11 +960,10 @@ def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     _check_parent(G, H)
     # x is in every conjugate of H exactly when its whole class lies in H:
     # drop every x with some x^s outside the set until nothing is dropped
-    members = np.asarray(H.members, dtype=_DTYPE)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[members] = True
+    mask = H.mask.copy()
+    members = np.flatnonzero(mask)
     while True:
-        keep = mask[_conjugates(G, members, G.generators)].all(axis=0)
+        keep = mask[G.conjugation[:, members]].all(axis=0)
         if keep.all():
             return Subgroup(G, tuple(members.tolist()))
         mask[members[~keep]] = False
@@ -965,10 +974,9 @@ def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
     """Number of conjugation orbits of G on a normal subgroup N."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    # the generators' conjugation maps, as permutations of positions in N
-    pos = np.zeros(G.order, dtype=_DTYPE)
-    pos[list(N.members)] = np.arange(N.order, dtype=_DTYPE)
-    maps = pos[_conjugates(G, N.members, G.generators)]
+    # the generators' conjugation maps, as permutations of places in N
+    pos = np.cumsum(N.mask, dtype=_DTYPE) - 1
+    maps = pos[G.conjugation[:, N.mask]]
     return int(np.unique(_orbit_labels(maps)).size)
 
 

@@ -109,30 +109,26 @@ def pr_central_pgroup_formula(G: GroupTable) -> tuple[Fraction, FormulaTrace]:
     p, _ = pk
     derived = derived_subgroup(G)
     zent = center(G)
-    if not set(derived.members) <= set(zent.members):
+    if not zent.mask[derived.mask].all():
         raise PreconditionFailed("derived subgroup is not central")
 
-    D = subgroup_table(G, derived)  # abelian
-    d_members = np.asarray(derived.members, dtype=_DTYPE)
+    D = subgroup_table(G, derived)  # abelian, numbered as G' is sorted
     n = G.order
     # G' is central, so g -> [g, x] is a homomorphism: [G, x] lies in K
-    # exactly when [s, x] does for each generator s
-    comms = _commutators(G, G.generators, np.arange(n, dtype=_DTYPE))
+    # exactly when [s, x] does for each generator s; each [s, x] lies in
+    # G' and is read as its element of D
+    comms = np.searchsorted(derived.members, _commutators(G, G.generators, np.arange(n)))
 
     # the subgroups of D/K are those of D over K, and a finite group is
     # cyclic exactly when no two of its subgroups have the same order
     subs = all_subgroups(D)
-    member_sets = [set(L.members) for L in subs]
     terms = []
     total = Fraction(0)
-    for K, k_set in zip(subs, member_sets):
-        over = [len(L) for L in member_sets if k_set <= L]
+    for K in subs:
+        over = [L.order for L in subs if L.mask[K.mask].all()]
         if len(set(over)) < len(over):
             continue
-        k_in_g = d_members[np.asarray(K.members, dtype=_DTYPE)]
-        mask = np.zeros(n, dtype=bool)
-        mask[k_in_g] = True
-        inside = int(mask[comms].all(axis=0).sum())
+        inside = int(K.mask[comms].all(axis=0).sum())
         if n % inside:
             raise PreconditionFailed("commutator-containment count does not divide |G|")
         s = _exact_log(n // inside, p)
@@ -182,12 +178,10 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
         out.append(SpecialFormMatch(pattern, predicted, actual, predicted == actual, note))
 
     zent = center(G)
-    z_mask = np.zeros(G.order, dtype=bool)
-    z_mask[list(zent.members)] = True
 
     # G/Z is elementary abelian exactly when every square is central, and
     # its rank is then log2 |G:Z| (at least 2, since G is nonabelian)
-    if derived.order == 2 and z_mask[np.diagonal(G.op)].all():
+    if derived.order == 2 and zent.mask[np.diagonal(G.op)].all():
         rank = (G.order // zent.order).bit_length() - 1
         if rank % 2 == 0:
             s = rank // 2
@@ -199,12 +193,12 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
     if derived.order == 3 and G.order // zent.order == 6:
         found("derived3-central-quotient-s3", Fraction(1, 2))
 
-    central = int(z_mask[list(derived.members)].sum())  # the order of G' intersect Z
+    central = int(zent.mask[derived.mask].sum())  # the order of G' intersect Z
     if derived.order == 4 and central == 2:
         cent = centralizer(G, derived.members)
         # for C = C_G(G'), Z(C) = C intersect C_G(C)
-        cent_center = set(cent.members) & set(centralizer(G, cent.members).members)
-        s = _exact_log(cent.order // len(cent_center), 4)
+        cent_center = int(centralizer(G, cent.members).mask[cent.mask].sum())
+        s = _exact_log(cent.order // cent_center, 4)
         if s is None:
             found("derived4-central2", None, "centralizer central index is not a power of 4")
         else:
@@ -216,7 +210,7 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
     if (
         derived.order == 6
         and central == 2
-        and set(derived.members) <= set(centralizer(G, derived.members).members)
+        and centralizer(G, derived.members).mask[derived.mask].all()
     ):
         diff = actual - Fraction(1, 4)
         den = diff.denominator
@@ -504,11 +498,8 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
     coset_of, reps = _cosets(G, members)
     n = len(reps)
 
-    h_mask = np.zeros(n_total, dtype=bool)
-    h_mask[members] = True
-
     h_comms = _commutators(G, members, reps)
-    if not h_mask[h_comms].all():
+    if not H.mask[h_comms].all():
         raise PreconditionFailed("commutator image escapes the subgroup")
     images = [frozenset(col) for col in h_comms.T.tolist()]
     image_sizes = tuple(map(len, images))

@@ -193,6 +193,23 @@ def test_usage_errors_exit_2(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--perms", "(1 2)", "--degree", "2", "--params", "5"], "--params needs --family"),
+        (["--family", "cyclic", "--params", "4", "--degree", "3"], "--degree needs --perms"),
+        (["--family", "cyclic", "--params", "4", "--name", "C4"], "--name needs --catalog"),
+    ],
+)
+def test_a_flag_of_another_source_exits_2(capsys, argv, message):
+    """A source flag whose source is not given would be silently ignored."""
+    with pytest.raises(SystemExit) as e:
+        main(["pr", *argv])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_domain_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "pr", "--family", "nosuch", "--params", "3")
     assert code == 1 and out == "" and "error:" in err

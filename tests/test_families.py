@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -305,6 +306,29 @@ def test_corpus_checks_its_cells_before_building(monkeypatch, capsys):
     assert main(["survey", "--corpus", "18"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "12547" in err and "10000" in err
+
+
+@pytest.mark.parametrize("max_order", [100_000, 10**12])
+def test_corpus_refuses_a_huge_order_at_once(monkeypatch, capsys, max_order):
+    """Past ORDER_CAP**2 cells in its cyclic members alone, corpus() refuses
+    before it lists any other member or any product pair."""
+    from commprob import families
+    from commprob.cli import main
+
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("reached a builder")
+
+    for builder in BUILDERS.values():
+        monkeypatch.setattr(families, builder, must_not_build)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["survey", "--corpus", str(max_order)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "error:" in err and f"corpus({max_order})" in err
+    monkeypatch.setattr(families, "ORDER_CAP", 10)  # read at call time
+    with pytest.raises(OrderCapExceeded, match="at least 385 table cells"):
+        corpus(10)
 
 
 def test_corpus_is_deterministic():

@@ -625,6 +625,67 @@ def test_group_order_is_the_table_size(named):
         GroupTable(order=6, op=s3.op, inv=s3.inv)
 
 
+def test_subgroup_refuses_a_member_outside_the_group(named):
+    with pytest.raises(ValueError, match=r"element index 7 outside \[0, 6\)"):
+        Subgroup(named["s3"], (0, 7))
+    with pytest.raises(ValueError, match=r"element index -1 outside \[0, 6\)"):
+        Subgroup(named["s3"], (0, -1))
+
+
+def test_centralizer_refuses_an_element_outside_the_group(named):
+    with pytest.raises(ValueError, match=r"element index 9 outside \[0, 6\)"):
+        centralizer(named["s3"], [9])
+
+
+@pytest.mark.parametrize("members", [(0, 1.5), (0.7, 1), (0, 1.0)])
+def test_subgroup_refuses_a_float_member(members):
+    """int() would truncate each of these to the subgroup (0, 1) of C2."""
+    c2 = build_from_cayley([[0, 1], [1, 0]])
+    bad = next(m for m in members if isinstance(m, float))
+    with pytest.raises(ValueError, match=f"element index {bad} is not an integer"):
+        Subgroup(c2, members)
+    with pytest.raises(ValueError, match=f"element index {bad} is not an integer"):
+        subgroup_from_members(c2, members)
+
+
+def test_generators_outside_the_group_keep_their_message(named):
+    with pytest.raises(ValueError, match=r"element index 6 outside \[0, 6\)"):
+        subgroup_from_generators(named["s3"], [6])
+    with pytest.raises(ValueError, match="element index 2.0 is not an integer"):
+        subgroup_from_generators(named["s3"], [2.0])
+
+
+def test_numpy_integers_stay_accepted(named):
+    s3 = named["s3"]
+    H = Subgroup(s3, np.arange(6, dtype=np.int32))
+    assert H.members == tuple(range(6)) and all(type(m) is int for m in H.members)
+    assert centralizer(s3, [np.int64(0)]).order == 6
+    assert subgroup_from_generators(s3, np.array([1, 2], dtype=np.uint8)).order == 6
+
+
+def test_membership_reads_the_mask(named):
+    """An int outside [0, n) is no member: -1 does not wrap to the last
+    element, and the mask is read-only."""
+    s3 = named["s3"]
+    whole = Subgroup(s3, range(6))
+    assert 5 in whole and np.int64(5) in whole
+    assert -1 not in whole and 6 not in whole and 0.0 not in whole and "0" not in whole
+    H = center(s3)
+    assert H.mask.tolist() == [x in H.members for x in range(6)] == [x in H for x in range(6)]
+    assert not H.mask.flags.writeable and not s3.conjugation.flags.writeable
+    with pytest.raises(ValueError):
+        H.mask[0] = False
+
+
+def test_conjugation_rows_are_the_generators_maps(corpus16):
+    for table, _spec in corpus16:
+        maps = table.conjugation
+        assert maps.shape == (len(table.generators), table.order)
+        for row, s in zip(maps.tolist(), table.generators):
+            assert row == [conjugate(table, x, s) for x in range(table.order)]
+        assert table.conjugation is maps  # built once per table
+
+
 def test_subgroup_closure_check(corpus48, subgroups_of):
     """Every subgroup of every group up to order 32 is accepted; a member
     set with its largest member swapped for the smallest non-member is
@@ -656,6 +717,39 @@ def test_alternating_subgroup_of_s7():
     odd = min(set(range(G.order)) - set(A7.members))
     with pytest.raises(ValueError, match="not closed under the group operation"):
         Subgroup(G, sorted(set(A7.members[:-1]) | {odd}))
+
+
+def test_structure_results_are_pinned(corpus48, subgroups_of):
+    """Classes, center, derived and Fitting subgroups, nilpotency and the
+    index-two subgroups of every group of corpus(48); normality, core,
+    orbit count and re-acceptance of each of their subgroups; and the
+    outcome for the swapped member sets of the closure check, as one
+    sha256 taken while conjugation maps were rebuilt per call and the
+    closure check walked member positions."""
+    h = hashlib.sha256()
+    for table, spec in corpus48:
+        part = conjugacy_classes(table)
+        h.update(f"{spec.name}|{part.classes}|".encode() + part.class_of.tobytes())
+        h.update(f"|{center(table).members}|{derived_subgroup(table).members}"
+                 f"|{fitting_subgroup(table).members}|{is_nilpotent(table)}"
+                 f"|{[H.members for H in index_two_subgroups(table)]}\n".encode())
+        for H in subgroups_of(table):
+            normal = is_normal(table, H)
+            orbits = orbit_count_on_normal(table, H) if normal else None
+            core = normal_core(table, H).members
+            again = Subgroup(table, H.members).members == H.members
+            h.update(f"{H.members}|{normal}|{core}|{orbits}|{again}\n".encode())
+            if table.order > 32 or H.order in (1, table.order):
+                continue
+            swapped = sorted(set(H.members[:-1]) | {min(set(range(table.order)) - set(H.members))})
+            try:
+                outcome = repr(Subgroup(table, swapped).members)
+            except ValueError as exc:
+                outcome = f"ValueError({exc})"
+            h.update(f"{outcome}\n".encode())
+    assert h.hexdigest() == (
+        "700943819e1d1a74b6ca7f0220da3ce6fa964e814837ef847e4982c43970bc68"
+    )
 
 
 def test_all_subgroups_counts(named, monkeypatch):
