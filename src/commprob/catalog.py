@@ -76,7 +76,7 @@ class CatalogEntry:
                     params=tuple(_json_int(p, "params item") for p in self.payload["params"]),
                 )
                 table, _ = make(spec)
-                return dataclasses.replace(table, name=self.name)
+                return table.renamed(self.name)
             raise ValidationError(f"unknown source {self.source!r}", entry=self.name)
         except ValidationError:
             raise

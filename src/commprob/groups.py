@@ -13,8 +13,16 @@ Computational Group Theory*, 2005). Each generator gives one conjugation
 map x -> s^-1 x s, a row of ``GroupTable.conjugation``. Conjugacy classes
 are the orbits of these r maps, the center is their common fixed points,
 the derived subgroup is the normal closure of the commutators [s, t] with
-s, t in S, and a subset closed under every map is normal. Memory stays
-O(r n) beyond the table itself.
+s, t in S, and a subset closed under every map is normal.
+
+These routines read no n x n table: they need the right-multiplication
+map x -> xs of a few elements s (``GroupTable._right_map``) and the r
+conjugation maps, O(r n) ints. A group built from permutations keeps
+its closure's generator maps, composes the map of any s along the
+breadth-first word of s, and fills its table from the same maps only
+when a routine first reads ``op`` (subgroup enumeration, subgroup
+tables, quotients, centralizers, pair counts). Every other group is
+built with its table and reads the maps off it.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
@@ -43,11 +51,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,9 +99,30 @@ def prime_power(n: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
+class _Table:
+    """The ``op`` field of :class:`GroupTable` when no table was given: the
+    first read fills it from the closure and keeps it in the instance,
+    where later reads find it first (a non-data descriptor, as
+    ``functools.cached_property``)."""
+
+    def __get__(self, G, owner=None) -> np.ndarray:
+        if G is None:
+            raise AttributeError("op")  # a required dataclass field: no default
+        op = vars(G)["op"] = G.closure.table()
+        op.setflags(write=False)
+        return op
+
+
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """A finite group: ``op[x, y]`` is the product xy, ``inv[x]`` the inverse.
+
+    A table built from permutations holds its closure's maps
+    (``closure``, a :class:`_Closure`) and is given ``op=None``: it fills
+    ``op`` from them on first read. Every other constructor hands ``op``
+    over. ``order``, ``generators``, ``conjugation`` and the orbit-method
+    routines read no table that is not filled yet; they take
+    right-multiplication maps from :meth:`_right_map`.
 
     ``validation`` records how associativity was established: "full"
     (a Cayley table checked by Light's test, exact at every order) or
@@ -101,18 +130,29 @@ class GroupTable:
     construction).
     """
 
-    op: np.ndarray
+    closure: _Closure | None = field(default=None, repr=False, kw_only=True)
+    op: np.ndarray = _Table()
     inv: np.ndarray
     name: str = ""
     validation: str = "constructed"
 
     def __post_init__(self):
-        self.op.setflags(write=False)
+        if self.op is not None:
+            self.op.setflags(write=False)
+        elif self.closure is None:
+            raise ValueError("a group needs its table or the closure that fills it")
+        else:
+            del vars(self)["op"]  # the first read fills it
         self.inv.setflags(write=False)
 
     @property
+    def _lazy(self) -> _Closure | None:
+        """The closure while the table is not filled, else None."""
+        return None if "op" in vars(self) else self.closure
+
+    @property
     def order(self) -> int:
-        return self.op.shape[0]
+        return self.inv.shape[0]
 
     def mul(self, x: int, y: int) -> int:
         return int(self.op[x, y])
@@ -126,6 +166,18 @@ class GroupTable:
     def __repr__(self) -> str:
         return f"GroupTable({self.name or 'G'}, order={self.order})"
 
+    def renamed(self, name: str) -> GroupTable:
+        """The same group under another name; ``dataclasses.replace``
+        would read ``op``, and so fill a table that is not filled yet."""
+        return replace(self, op=vars(self).get("op"), name=name)
+
+    def _right_map(self, s: int) -> np.ndarray:
+        """R_s, the map x -> xs, of any element s: column s of the table
+        when it is filled, else the closure's generator maps composed
+        along the breadth-first word of s."""
+        c = self._lazy
+        return self.op[:, s] if c is None else c.compose(c.right, s)
+
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A generating set, picked greedily: the smallest element outside
@@ -134,16 +186,73 @@ class GroupTable:
         Each pick at least doubles the subgroup, so there are at most
         log2(n) generators; the trivial group has none.
         """
-        return tuple(_greedy(self.op))
+        return tuple(_greedy(self.order, self._right_map))
 
     @cached_property
     def conjugation(self) -> np.ndarray:
         """The conjugation maps of the generators, read-only: row i maps
-        x to s_i^-1 x s_i for the i-th generator s_i (r rows of n)."""
+        x to s_i^-1 x s_i for the i-th generator s_i (r rows of n).
+
+        s^-1 x s is L_s^-1(R_s(x)), with L_s^-1 the left map x -> s^-1 x:
+        a row of the table, or the closure's inverse left maps composed
+        along the word of s."""
         gens = np.asarray(self.generators, dtype=_DTYPE)
-        maps = self.op[self.op[self.inv[gens]], gens[:, None]]
+        c = self._lazy
+        if c is None:
+            maps = self.op[self.op[self.inv[gens]], gens[:, None]]
+        else:
+            maps = np.array(
+                [c.compose(c.left_inv, s)[c.compose(c.right, s)] for s in gens.tolist()],
+                dtype=_DTYPE,
+            ).reshape(gens.size, self.order)
         maps.setflags(write=False)
         return maps
+
+
+@dataclass(frozen=True, eq=False)
+class _Closure:
+    """What closing permutations into a group computes, O(r n) ints.
+
+    ``parent[j] = (k, g)``: e_j was first reached as e_k times the g-th
+    generator, so the parents from j back to 0 spell e_j as a word in
+    the generators, its breadth-first word. ``right[g]`` is the g-th
+    generator's right map, x -> x g (index k to index of e_k g).
+    ``left[h]`` is the left map L_h, x -> h x, of each generator h that
+    reached an element, and ``left_inv[h]`` its inverse.
+    """
+
+    parent: list[tuple[int, int]]
+    right: np.ndarray
+    left: dict[int, np.ndarray]
+    left_inv: dict[int, np.ndarray]
+
+    def compose(self, maps, s: int) -> np.ndarray:
+        """``maps[g_1]``, ..., ``maps[g_m]`` applied in turn, for the word
+        e_s = g_1 ... g_m: R_s from ``right``, L_s^-1 from ``left_inv``.
+        O(n) per letter."""
+        word = []
+        while s:
+            s, g = self.parent[s]
+            word.append(g)
+        if not word:
+            return np.arange(len(self.parent))
+        out = maps[word.pop()]
+        while word:
+            out = maps[word.pop()][out]
+        return out
+
+    def table(self) -> np.ndarray:
+        """The n x n table, a contiguous row at a time: for e_i = e_k h,
+        e_i e_j = e_k (h e_j), so row i is row k gathered through L_h.
+        Row k comes before row i, and no n^2 temporary is formed."""
+        n = len(self.parent)
+        op = np.empty((n, n), dtype=_DTYPE)
+        op[0] = np.arange(n, dtype=_DTYPE)
+        for i in range(1, n):
+            k, h = self.parent[i]
+            # indices are in range; "clip" skips the buffered copy of "raise"
+            op[k].take(self.left[h], out=op[i], mode="clip")
+        return op
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +271,7 @@ class Subgroup:
         if n % len(mem) != 0:
             raise ValueError(f"subgroup size {len(mem)} does not divide group order {n}")
         # distinct members, the identity among them, are closed iff they span no more
-        if len(set(mem)) < len(mem) or _span(self.parent.op, mem).size != len(mem):
+        if len(set(mem)) < len(mem) or _span(self.parent, mem).size != len(mem):
             raise ValueError("member set is not closed under the group operation")
 
     @property
@@ -328,7 +437,7 @@ def _check_associativity(op: np.ndarray) -> None:
     """
     n = op.shape[0]
     step = max(1, _BLOCK_CELLS // n)
-    for s in _greedy(op):
+    for s in _greedy(n, lambda s: op[:, s]):
         for lo in range(0, n, step):
             rows = op[lo:lo + step]
             left = op[rows[:, s]]  # (xs)y
@@ -516,7 +625,7 @@ def build_from_permutations(
     *,
     name: str = "",
 ) -> GroupTable:
-    """Close a generating set of permutations into a full group table.
+    """Close a generating set of permutations into a group.
 
     Elements are numbered by breadth-first discovery with the generator
     order fixed, so identical input always yields identical numbering.
@@ -525,15 +634,17 @@ def build_from_permutations(
     every generator's image tuple through one ``itemgetter`` of e_k's
     images, so the composition runs in C.
 
-    The table is filled a contiguous row at a time. For each generator h
-    the left-multiplication map L_h (L_h[j] is the index of h * e_j)
-    follows from the closure in O(n): L_h[0] is the index of h, and
-    h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g]. Then for
-    e_i = e_k * h, e_i * e_j = e_k * (h * e_j), so row i is row k
-    gathered through L_h. Row k comes before row i in the numbering,
-    and no n^2 temporary is formed. The identity of row k sits at
-    inv[k], so the identity of row i sits at L_h^-1[inv[k]]: the
-    inverses cost O(n), with no search of the table.
+    For each generator h the left-multiplication map L_h (L_h[j] is the
+    index of h * e_j) follows from the closure in O(n): L_h[0] is the
+    index of h, and h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g].
+    The identity of row k of the table sits at inv[k], and for
+    e_i = e_k * h, e_i * e_j = e_k * (h * e_j), so the identity of row i
+    sits at L_h^-1[inv[k]]: the inverses cost O(n), with no search.
+
+    The group keeps these maps, O(r n) ints, and fills its n x n table
+    from them only when ``op`` is first read (see :class:`_Closure`);
+    classes, the center, the derived subgroup and normal closures never
+    read it. The filled table's bytes do not depend on when it is read.
     """
     _check_degree(degree)
     gens = list(generators)
@@ -570,7 +681,8 @@ def build_from_permutations(
             row.append(j)
         right.append(row)
     n = len(elems)
-    left, left_inv = {}, {}
+    del elems, index  # only the maps outlive the closure
+    left, left_inv, inv_lists = {}, {}, {}
     for h in {h for _, h in parent[1:]}:
         lh = [0] * n
         lh[0] = right[0][h]  # h * e_0 = h
@@ -578,18 +690,18 @@ def build_from_permutations(
             k, g = parent[j]
             lh[j] = right[lh[k]][g]
         left[h] = np.array(lh, dtype=np.intp)  # take's index type: no cast per row
-        inv_h = np.empty(n, dtype=np.intp)
-        inv_h[left[h]] = np.arange(n)
-        left_inv[h] = inv_h.tolist()
-    op = np.empty((n, n), dtype=_DTYPE)
-    op[0] = np.arange(n, dtype=_DTYPE)
+        left_inv[h] = np.empty(n, dtype=np.intp)
+        left_inv[h][left[h]] = np.arange(n)
+        inv_lists[h] = left_inv[h].tolist()
     inv = [0] * n
     for i in range(1, n):
         k, h = parent[i]
-        # indices are in range; "clip" skips the buffered copy of "raise"
-        op[k].take(left[h], out=op[i], mode="clip")
-        inv[i] = left_inv[h][inv[k]]
-    return GroupTable(op=op, inv=np.array(inv, dtype=_DTYPE), name=name)
+        inv[i] = inv_lists[h][inv[k]]
+    maps = np.array(right, dtype=np.intp).reshape(n, len(gens)).T.copy()
+    for m in (maps, *left.values(), *left_inv.values()):
+        m.setflags(write=False)  # compose hands them out as they are
+    closure = _Closure(parent=parent, right=maps, left=left, left_inv=left_inv)
+    return GroupTable(None, np.array(inv, dtype=_DTYPE), name=name, closure=closure)
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -650,7 +762,8 @@ def element_orders(G: GroupTable) -> list[int]:
 
 
 def is_abelian(G: GroupTable) -> bool:
-    return bool(np.array_equal(G.op, G.op.T))
+    """Whether every generator's conjugation map is the identity."""
+    return bool((G.conjugation == np.arange(G.order)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -686,37 +799,38 @@ def _extend(right: list[list[int]], seen: list[bool]) -> list[int]:
     return reached
 
 
-def _greedy(op: np.ndarray) -> Iterator[int]:
-    """Generators of the table ``op``, picked greedily: each is the
-    smallest element outside the set generated so far, yielded after
-    :func:`_extend` has grown that set by it."""
-    n = op.shape[0]
+def _greedy(n: int, right_map: Callable[[int], np.ndarray]) -> Iterator[int]:
+    """Generators of a group of order n whose right-multiplication maps
+    ``right_map`` gives, picked greedily: each is the smallest element
+    outside the set generated so far, yielded after :func:`_extend` has
+    grown that set by it."""
     seen = [True] + [False] * (n - 1)
     right: list[list[int]] = []
     size = s = 1
     while size < n:
         s = seen.index(False, s)
-        right.append(op[:, s].tolist())
+        right.append(right_map(s).tolist())
         size += len(_extend(right, seen))
         yield s
 
 
-def _generate(op: np.ndarray, seed, right: list[list[int]], seen: list[bool]) -> None:
-    """Grow the subgroup marked in ``seen`` (generated by the maps in
-    ``right``) in place by each seed element it does not yet hold, in
-    seed order, through :func:`_extend`, reading each new generator's
-    right-multiplication map off the table ``op``."""
+def _generate(G: GroupTable, seed, right: list[list[int]], seen: list[bool]) -> None:
+    """Grow the subgroup of G marked in ``seen`` (generated by the maps
+    in ``right``) in place by each seed element it does not yet hold, in
+    seed order, through :func:`_extend`, with each new generator's
+    right-multiplication map from :meth:`GroupTable._right_map`."""
     for s in np.asarray(seed, dtype=_DTYPE).ravel().tolist():
         if not seen[s]:
-            right.append(op[:, s].tolist())
+            right.append(G._right_map(s).tolist())
             _extend(right, seen)
 
 
-def _span(op: np.ndarray, seed) -> np.ndarray:
-    """Sorted members of the subgroup generated by ``seed``. The flags
-    are read as bytes: numpy converts a list of n bools 5 times slower."""
-    seen = [True] + [False] * (op.shape[0] - 1)
-    _generate(op, seed, [], seen)
+def _span(G: GroupTable, seed) -> np.ndarray:
+    """Sorted members of the subgroup of G generated by ``seed``. The
+    flags are read as bytes: numpy converts a list of n bools 5 times
+    slower."""
+    seen = [True] + [False] * (G.order - 1)
+    _generate(G, seed, [], seen)
     return np.flatnonzero(np.frombuffer(bytes(seen), dtype=bool)).astype(_DTYPE)
 
 
@@ -740,7 +854,7 @@ def subgroup_from_members(G: GroupTable, members: Iterable[int]) -> Subgroup:
 
 
 def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgroup:
-    return Subgroup(G, tuple(_span(G.op, _elements(G, generators)).tolist()))
+    return Subgroup(G, tuple(_span(G, _elements(G, generators)).tolist()))
 
 
 def _check_parent(G: GroupTable, H: Subgroup) -> None:
@@ -789,7 +903,7 @@ def _normal_closure(G: GroupTable, seed) -> np.ndarray:
     right: list[list[int]] = []
     pending = seed
     while True:
-        _generate(G.op, pending, right, seen)
+        _generate(G, pending, right, seen)
         mask = np.frombuffer(bytes(seen), dtype=bool)
         pending = G.conjugation[:, mask].ravel()
         pending = pending[~mask[pending]]
@@ -852,9 +966,11 @@ def center(G: GroupTable) -> Subgroup:
 
 def derived_subgroup(G: GroupTable) -> Subgroup:
     """Subgroup generated by all commutators [x, y]: the normal closure
-    of the commutators [s, t] of the generators s, t."""
-    gens = G.generators
-    members = _normal_closure(G, _commutators(G, gens, gens).ravel())
+    of the commutators [s, t] = (t^-1)^s t of the generators s, t, each
+    a conjugation map followed by the right map of t."""
+    conj = G.conjugation
+    comms = [G._right_map(t)[conj[:, G.inv[t]]] for t in G.generators]
+    members = _normal_closure(G, comms)
     return Subgroup(G, tuple(members.tolist()))
 
 
@@ -901,7 +1017,7 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
     closure: one coset per element of A that NA does not yet cover."""
     _check_cutoff(G)
     op = G.op
-    spans = (_span(op, cls) for cls in conjugacy_classes(G).classes)
+    spans = (_span(G, cls) for cls in conjugacy_classes(G).classes)
     atom_list = [a.tolist() for a in {a.tobytes(): a for a in spans}.values()]
 
     def joins(in_base: np.ndarray) -> Iterator[np.ndarray]:
@@ -934,7 +1050,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             if not covered[x]:
                 covered[op[members, x]] = True
                 seen = [True] + [False] * (G.order - 1)
-                _generate(op, np.append(members, x), [], seen)
+                _generate(G, np.append(members, x), [], seen)
                 yield np.asarray(seen)
 
     return _lattice(G, extensions)
@@ -1011,7 +1127,7 @@ def fitting_subgroup(G: GroupTable) -> Subgroup:
             closure = _normal_closure(G, [cls[0]])
             if prime_power(closure.size):
                 passed[closure] = True
-    return Subgroup(G, tuple(_span(G.op, np.flatnonzero(passed)).tolist()))
+    return Subgroup(G, tuple(_span(G, np.flatnonzero(passed)).tolist()))
 
 
 def abelian_normal_subgroups(G: GroupTable) -> list[Subgroup]:
@@ -1037,7 +1153,7 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
     already holds every commutator.
     """
     n = G.order
-    M = _span(G.op, np.diagonal(G.op))
+    M = _span(G, np.diagonal(G.op))
     if M.size == n:
         return []
     # coordinates of each coset over F_2

@@ -63,7 +63,7 @@ from commprob.groups import (
     subgroup_table,
     table_from_json,
 )
-from commprob.probability import pr_direct
+from commprob.probability import check_bounds, pr_direct
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,12 @@ def naive_permutation_table(degree: int, gens) -> list[list[int]]:
                 elems.append(nxt)
     index = {e: i for i, e in enumerate(elems)}
     return [[index[tuple(b[p] for p in a)] for b in elems] for a in elems]
+
+
+def filled(G: GroupTable) -> bool:
+    """Whether G's table exists: given to it, or filled from its closure
+    by a read of ``op``."""
+    return "op" in vars(G)
 
 
 def as_lists(G: GroupTable) -> list[list[int]]:
@@ -336,13 +342,44 @@ def test_permutation_table_bytes_are_pinned(cycles, digest):
     assert hashlib.sha256(G.op.tobytes() + G.inv.tobytes()).hexdigest() == digest
 
 
-def test_permutation_build_memory_is_one_table():
-    """Building S7 holds the 5040 x 5040 int32 table (97 MiB) and no
-    second n^2 array, such as a Fortran-order copy to transpose."""
+def test_pr_bounds_builds_no_table():
+    """The bound suite on S7, A7 and an order-240 group given as
+    ``--perms`` input reads only the closure's maps: no table is filled.
+    Building S7 and running it peaks far below its 97 MiB table, and the
+    table read afterwards has the pinned bytes."""
+    perms = build_from_permutations(
+        7, [parse_cycles(c, 7) for c in ("(1 2 3 4 5)", "(1 2)", "(6 7)")], name="perm-group"
+    )
+    for G, k in [(make(FamilySpec("symmetric", (7,)))[0], 15),
+                 (make(FamilySpec("alternating", (7,)))[0], 9), (perms, 14)]:
+        assert check_bounds(G).k == k
+        assert not filled(G), G.name
     gens = [parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7)]
     tracemalloc.start()
     try:
         G = build_from_permutations(7, gens)
+        report = check_bounds(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.order, report.k, report.center_index) == (5040, 15, 5040)
+    assert not filled(G)
+    assert peak < 16 * 2**20
+    assert hashlib.sha256(G.op.tobytes() + G.inv.tobytes()).hexdigest() == (
+        "d3948ec7d34931b6770bcec75f8e0b2a6e374496cc5dce8973ffe2078867ae97"
+    )
+    assert filled(G) and not G.op.flags.writeable
+
+
+def test_permutation_build_memory_is_one_table():
+    """Building S7 and filling its table holds the 5040 x 5040 int32
+    table (97 MiB) and no second n^2 array, such as a Fortran-order copy
+    to transpose."""
+    gens = [parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7)]
+    tracemalloc.start()
+    try:
+        G = build_from_permutations(7, gens)
+        assert G.op.shape == (5040, 5040)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -686,6 +723,45 @@ def test_conjugation_rows_are_the_generators_maps(corpus16):
         assert table.conjugation is maps  # built once per table
 
 
+def _structure(G: GroupTable) -> tuple:
+    return (G.generators, G.conjugation.tobytes(), conjugacy_classes(G).class_of.tobytes(),
+            center(G).members, derived_subgroup(G).members)
+
+
+def test_structure_is_the_same_before_and_after_the_fill(corpus64):
+    """Generators, conjugation maps, classes, center and derived subgroup
+    of each permutation-built member of corpus(64) are the same read off
+    the closure's maps as off the filled table, and reading them off the
+    maps fills no table."""
+    checked = 0
+    for _, spec in corpus64:
+        lazy, _ = make(spec)
+        if lazy.closure is None:  # a product or a closed form: built with its table
+            continue
+        before = _structure(lazy)
+        assert not filled(lazy), spec.name
+        table, _ = make(spec)
+        assert table.op.shape == (table.order, table.order)
+        assert _structure(table) == before, spec.name
+        checked += 1
+    assert checked > 30
+
+
+def test_renamed_group_keeps_its_table_unfilled():
+    G, _ = make(FamilySpec("symmetric", (5,)))
+    R = G.renamed("S")
+    assert (R.name, R.order, R.closure) == ("S", 120, G.closure)
+    assert not filled(R) and not filled(G)
+    assert np.array_equal(R.op, G.op)
+    assert G.renamed("T").op is G.op  # a filled table is shared
+
+
+def test_is_abelian_reads_the_conjugation_maps(corpus64):
+    verdicts = [is_abelian(G) for G, _ in corpus64]
+    assert verdicts == [bool((G.op == G.op.T).all()) for G, _ in corpus64]
+    assert True in verdicts and False in verdicts
+
+
 def test_subgroup_closure_check(corpus48, subgroups_of):
     """Every subgroup of every group up to order 32 is accepted; a member
     set with its largest member swapped for the smallest non-member is
@@ -888,13 +964,18 @@ def test_fitting_subgroup_above_enumeration_cutoff():
 def test_closures_memory_is_linear():
     """Closures on S7 run the breadth-first pass over generator maps and
     form no |H| x |H| product block (a 5040 x 5040 int32 block is
-    101 MB) and no n x |H| commutator matrix."""
+    101 MB) and no n x |H| commutator matrix. The span reads no table;
+    the index-two subgroups and the lower central series read it, so it
+    is filled before they are measured."""
     G, _ = make(FamilySpec("symmetric", (7,)))
-    for call, expected in [
-        (lambda: subgroup_from_generators(G, G.generators).order, 5040),
-        (lambda: [H.order for H in index_two_subgroups(G)], [2520]),
-        (lambda: is_nilpotent(G), False),
+    for fill, call, expected in [
+        (False, lambda: subgroup_from_generators(G, G.generators).order, 5040),
+        (True, lambda: [H.order for H in index_two_subgroups(G)], [2520]),
+        (True, lambda: is_nilpotent(G), False),
     ]:
+        if fill:
+            assert G.op.shape == (5040, 5040)
+        assert filled(G) == fill
         tracemalloc.start()
         try:
             assert call() == expected
@@ -1233,14 +1314,19 @@ def test_structure_matches_sympy(group, rng):
     degree, images = group
     S = combinatorics.PermutationGroup([combinatorics.Permutation(list(im)) for im in images])
     assume(S.order() <= 720)
-    G = build_from_permutations(degree, [Permutation(degree, im) for im in images])
-    for T in (G, scrambled(G, rng)):
+    gens = [Permutation(degree, im) for im in images]
+    # G twice: once as built, once with its table read first, so that its
+    # generators and maps come off the table
+    lazy, table = build_from_permutations(degree, gens), build_from_permutations(degree, gens)
+    assert table.op.shape == (table.order, table.order)
+    for T in (lazy, table, scrambled(table, rng)):
         assert T.order == S.order()
         assert subgroup_from_generators(T, T.generators).order == T.order
         assert 2 ** len(T.generators) <= T.order
         assert conjugacy_classes(T).count == len(S.conjugacy_classes())
         assert center(T).order == S.center().order()
         assert derived_subgroup(T).order == S.derived_subgroup().order()
+        assert filled(T) == (T is not lazy)
         assert is_nilpotent(T) == S.is_nilpotent
 
 
