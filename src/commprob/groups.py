@@ -16,18 +16,19 @@ the derived subgroup is the normal closure of the commutators [s, t] with
 s, t in S, and a subset closed under every map is normal.
 
 These routines read no n x n table: they need the right-multiplication
-map x -> xs of a few elements s (``GroupTable._right_map``) and the r
-conjugation maps, O(r n) ints. A group built from permutations keeps
-its closure's generator maps, composes the map of any s along the
-breadth-first word of s, and fills its table from the same maps only
-when a routine first reads ``op`` (subgroup enumeration, subgroup
-tables, quotients, centralizers, pair counts). Every other group is
-built with its table and reads the maps off it.
+map x -> xs of a few elements s (``GroupTable._right_map``, the one
+place that knows how a product is formed) and ``inv``, O(r n) ints. A
+group built from permutations keeps its closure's generator maps,
+composes the map of any s along the breadth-first word of s, and fills
+its table from its left maps only when a routine first reads ``op``
+(subgroup enumeration, subgroup tables, quotients, pair counts). Every
+other group is built with its table and reads the maps off it.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
-F(G) is built from normal closures of single classes, and the lower
-central series from the commutators of its terms with the generators.
+F(G) is built from normal closures of single classes, the upper central
+series from coset labels of its terms, and the index-2 subgroups from
+normal closures of generator products.
 
 The same greedy generators validate a Cayley table exactly, at every
 order: associativity by Light's test, (xs)y = x(sy) for each generator s
@@ -53,7 +54,7 @@ import operator
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -176,7 +177,7 @@ class GroupTable:
         when it is filled, else the closure's generator maps composed
         along the breadth-first word of s."""
         c = self._lazy
-        return self.op[:, s] if c is None else c.compose(c.right, s)
+        return self.op[:, s] if c is None else c.compose(s)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -193,18 +194,10 @@ class GroupTable:
         """The conjugation maps of the generators, read-only: row i maps
         x to s_i^-1 x s_i for the i-th generator s_i (r rows of n).
 
-        s^-1 x s is L_s^-1(R_s(x)), with L_s^-1 the left map x -> s^-1 x:
-        a row of the table, or the closure's inverse left maps composed
-        along the word of s."""
-        gens = np.asarray(self.generators, dtype=_DTYPE)
-        c = self._lazy
-        if c is None:
-            maps = self.op[self.op[self.inv[gens]], gens[:, None]]
-        else:
-            maps = np.array(
-                [c.compose(c.left_inv, s)[c.compose(c.right, s)] for s in gens.tolist()],
-                dtype=_DTYPE,
-            ).reshape(gens.size, self.order)
+        s^-1 x s = (x^-1 s)^-1 s, so each row is ``R[inv[R[inv]]]`` for the
+        right map R of s: two gathers through R and one through ``inv``."""
+        rows = [R[self.inv[R[self.inv]]] for R in map(self._right_map, self.generators)]
+        maps = np.array(rows, dtype=_DTYPE).reshape(len(rows), self.order)
         maps.setflags(write=False)
         return maps
 
@@ -218,27 +211,25 @@ class _Closure:
     the generators, its breadth-first word. ``right[g]`` is the g-th
     generator's right map, x -> x g (index k to index of e_k g).
     ``left[h]`` is the left map L_h, x -> h x, of each generator h that
-    reached an element, and ``left_inv[h]`` its inverse.
+    reached an element; only :meth:`table` reads it.
     """
 
     parent: list[tuple[int, int]]
     right: np.ndarray
     left: dict[int, np.ndarray]
-    left_inv: dict[int, np.ndarray]
 
-    def compose(self, maps, s: int) -> np.ndarray:
-        """``maps[g_1]``, ..., ``maps[g_m]`` applied in turn, for the word
-        e_s = g_1 ... g_m: R_s from ``right``, L_s^-1 from ``left_inv``.
-        O(n) per letter."""
+    def compose(self, s: int) -> np.ndarray:
+        """R_s: ``right[g_1]``, ..., ``right[g_m]`` applied in turn, for the
+        word e_s = g_1 ... g_m. O(n) per letter."""
         word = []
         while s:
             s, g = self.parent[s]
             word.append(g)
         if not word:
             return np.arange(len(self.parent))
-        out = maps[word.pop()]
+        out = self.right[word.pop()]
         while word:
-            out = maps[word.pop()][out]
+            out = self.right[word.pop()][out]
         return out
 
     def table(self) -> np.ndarray:
@@ -682,7 +673,7 @@ def build_from_permutations(
         right.append(row)
     n = len(elems)
     del elems, index  # only the maps outlive the closure
-    left, left_inv, inv_lists = {}, {}, {}
+    left, left_inv = {}, {}
     for h in {h for _, h in parent[1:]}:
         lh = [0] * n
         lh[0] = right[0][h]  # h * e_0 = h
@@ -690,17 +681,17 @@ def build_from_permutations(
             k, g = parent[j]
             lh[j] = right[lh[k]][g]
         left[h] = np.array(lh, dtype=np.intp)  # take's index type: no cast per row
-        left_inv[h] = np.empty(n, dtype=np.intp)
-        left_inv[h][left[h]] = np.arange(n)
-        inv_lists[h] = left_inv[h].tolist()
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[left[h]] = np.arange(n)
+        left_inv[h] = inverse.tolist()
     inv = [0] * n
     for i in range(1, n):
         k, h = parent[i]
-        inv[i] = inv_lists[h][inv[k]]
+        inv[i] = left_inv[h][inv[k]]
     maps = np.array(right, dtype=np.intp).reshape(n, len(gens)).T.copy()
-    for m in (maps, *left.values(), *left_inv.values()):
+    for m in (maps, *left.values()):
         m.setflags(write=False)  # compose hands them out as they are
-    closure = _Closure(parent=parent, right=maps, left=left, left_inv=left_inv)
+    closure = _Closure(parent=parent, right=maps, left=left)
     return GroupTable(None, np.array(inv, dtype=_DTYPE), name=name, closure=closure)
 
 
@@ -949,12 +940,19 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 
 def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
-    """{g : gs = sg for all s in elements}; with all of G this is the center."""
-    elems = np.asarray(sorted(set(_elements(G, elements))), dtype=_DTYPE)
-    if elems.size == 0:
+    """{g : gs = sg for all s in elements}; with all of G this is the center.
+
+    The common fixed points of the conjugation maps ``R[inv[R[inv]]]`` of
+    the right maps R that :func:`_generate` collects for <elements>."""
+    elems = _elements(G, elements)
+    if not elems:
         raise ValueError("centralizer of the empty set is not defined here")
-    good = (G.op[:, elems] == G.op[elems, :].T).all(axis=1)
-    return Subgroup(G, tuple(int(v) for v in np.flatnonzero(good)))
+    right: list[list[int]] = []
+    _generate(G, elems, right, [True] + [False] * (G.order - 1))
+    inv, fixed = G.inv, np.ones(G.order, dtype=bool)
+    for R in map(np.array, right):
+        fixed &= R[inv[R[inv]]] == np.arange(G.order)
+    return Subgroup(G, tuple(np.flatnonzero(fixed).tolist()))
 
 
 def center(G: GroupTable) -> Subgroup:
@@ -1097,18 +1095,21 @@ def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
 
 
 def is_nilpotent(G: GroupTable) -> bool:
-    """Whether the lower central series G = g_1 > g_2 > ... reaches 1.
+    """Whether the upper central series 1 = Z_0 < Z_1 < ... reaches G.
 
-    g_(i+1) = [g_i, G] is the normal closure of the |g_i| r commutators
-    [x, s], x in g_i and s a generator of G: modulo that closure each x
-    commutes with every generator, hence with G.
+    x lies in Z_(i+1) when each x^s, s a generator of G, lies in the
+    coset x Z_i: then every [x, s], and so [x, G], lies in Z_i. The
+    cosets x Z_i are the orbits of the right maps that :func:`_generate`
+    collects for Z_i, labelled by :func:`_orbit_labels`.
     """
-    gamma = np.arange(G.order, dtype=_DTYPE)
-    while gamma.size > 1:
-        nxt = _normal_closure(G, _commutators(G, gamma, G.generators).ravel())
-        if nxt.size == gamma.size:
+    seen = [True] + [False] * (G.order - 1)
+    right: list[list[int]] = []
+    while not all(seen):
+        label = _orbit_labels(np.array(right, dtype=_DTYPE).reshape(len(right), G.order))
+        size = len(right)
+        _generate(G, np.flatnonzero((label[G.conjugation] == label).all(axis=0)), right, seen)
+        if len(right) == size:  # Z_(i+1) = Z_i < G
             return False
-        gamma = nxt
     return True
 
 
@@ -1146,38 +1147,24 @@ def largest_abelian_normal_subgroup(G: GroupTable) -> Subgroup:
 
 
 def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
-    """All subgroups of index 2 (necessarily normal).
-
-    They are exactly the preimages of hyperplanes in G/M where M is
-    generated by all squares. G/M has exponent 2, so it is abelian and M
-    already holds every commutator.
+    """All subgroups of index 2 (necessarily normal): the kernels of the
+    maps onto C2. Each sends a nonempty set T of generators to the
+    involution and the others to 1. For one t in T, the normal closure K
+    of the other generators and of each s t, s in T (t^2 among them), has
+    G/K generated by t with t^2 = 1, so K is that kernel exactly when its
+    index is 2. Every square lies in every kernel, so there is none when
+    the generators' squares generate G as a normal subgroup.
     """
-    n = G.order
-    M = _span(G, np.diagonal(G.op))
-    if M.size == n:
+    gens = G.generators
+    right = {s: G._right_map(s) for s in gens}
+    if _normal_closure(G, [right[s][s] for s in gens]).size == G.order:
         return []
-    # coordinates of each coset over F_2
-    coset_of, reps = _cosets(G, M)
-    m = len(reps)
-    coords = np.full(m, -1, dtype=np.int64)
-    coords[0] = 0
-    basis: list[int] = []
-    span = {0: 0}
-    for v in range(1, m):
-        if coords[v] >= 0:
-            continue
-        basis.append(v)
-        bit = 1 << (len(basis) - 1)
-        for w, cw in list(span.items()):
-            u = int(coset_of[G.op[reps[w], reps[v]]])
-            span[u] = cw | bit
-            coords[u] = cw | bit
     out = []
-    r = len(basis)
-    for phi in range(1, 2**r):
-        masked = coords[coset_of] & phi
-        for shift in (32, 16, 8, 4, 2, 1):  # XOR fold: low bit = parity
-            masked ^= masked >> shift
-        out.append(Subgroup(G, tuple(int(v) for v in np.flatnonzero(masked & 1 == 0))))
+    for size in range(1, len(gens) + 1):
+        for T in combinations(gens, size):
+            others = [s for s in gens if s not in T]
+            kernel = _normal_closure(G, others + [right[T[0]][s] for s in T])
+            if 2 * kernel.size == G.order:
+                out.append(Subgroup(G, tuple(kernel.tolist())))
     out.sort(key=lambda s: s.members)
     return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PreconditionFailed
+from .errors import OrderCapExceeded, PreconditionFailed
 from .groups import (
     _DTYPE,
     _check_parent,
@@ -179,9 +179,9 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
 
     zent = center(G)
 
-    # G/Z is elementary abelian exactly when every square is central, and
-    # its rank is then log2 |G:Z| (at least 2, since G is nonabelian)
-    if derived.order == 2 and zent.mask[np.diagonal(G.op)].all():
+    # a G' of order 2 is central, so G/Z is elementary abelian exactly when
+    # the generators' squares are central; its rank is then log2 |G:Z| (>= 2)
+    if derived.order == 2 and all(zent.mask[G._right_map(s)[s]] for s in G.generators):
         rank = (G.order // zent.order).bit_length() - 1
         if rank % 2 == 0:
             s = rank // 2
@@ -484,8 +484,12 @@ def abelian_decomposition(G: GroupTable, H: Subgroup) -> EgyptianForm:
     cosets ordered by smallest element, identity first). All pair counts
     are brute force over H x H; the dichotomy "each count is 0 or
     |H|^2 n_ij/(n_i n_j)" and the reconstruction of Pr are asserted.
+    The n x n grid takes O(n^2) Python steps, so an index above
+    ``SUBGROUP_CUTOFF`` raises ``OrderCapExceeded`` before any product is read.
     """
     _check_parent(G, H)
+    if H.index > SUBGROUP_CUTOFF:
+        raise OrderCapExceeded(f"index {H.index} exceeds the cutoff {SUBGROUP_CUTOFF}")
     members = np.asarray(H.members, dtype=_DTYPE)
     block = G.op[np.ix_(members, members)]
     if not np.array_equal(block, block.T):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import commprob.cli
 import commprob.egyptian
 import commprob.probability
 from commprob.cli import main
+from commprob.groups import subgroup_from_generators
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -441,6 +443,27 @@ def test_decompose_bad_subgroup_is_domain_error(capsys):
         "--subgroup", "1",
     )
     assert code == 1 and "error:" in err
+
+
+def test_decompose_refuses_an_index_past_the_cutoff(capsys, monkeypatch):
+    """The trivial subgroup of D1000 has index 2000: its grid would take
+    O(index^2) steps and print 2000 lines of 2000 counts, so it is refused
+    at once, before the group's table is filled."""
+    groups = []
+
+    def recording(G, gens):
+        groups.append(G)
+        return subgroup_from_generators(G, gens)
+
+    monkeypatch.setattr(commprob.cli, "subgroup_from_generators", recording)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "decompose", "--family", "dihedral", "--params", "1000", "--subgroup", "0",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "index 2000" in err
+    assert groups[0].order == 2000 and "op" not in vars(groups[0])
 
 
 def test_stdout_determinism(capsys):

@@ -63,7 +63,7 @@ from commprob.groups import (
     subgroup_table,
     table_from_json,
 )
-from commprob.probability import check_bounds, pr_direct
+from commprob.probability import check_bounds, pr_direct, verify_special_forms
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +342,20 @@ def test_permutation_table_bytes_are_pinned(cycles, digest):
     assert hashlib.sha256(G.op.tobytes() + G.inv.tobytes()).hexdigest() == digest
 
 
+def _perm_group_240() -> GroupTable:
+    """S5 x C2 of order 240, as it comes from ``--perms`` input."""
+    return build_from_permutations(
+        7, [parse_cycles(c, 7) for c in ("(1 2 3 4 5)", "(1 2)", "(6 7)")], name="perm-group"
+    )
+
+
 def test_pr_bounds_builds_no_table():
     """The bound suite on S7, A7 and an order-240 group given as
     ``--perms`` input reads only the closure's maps: no table is filled.
     Building S7 and running it peaks far below its 97 MiB table, and the
     table read afterwards has the pinned bytes."""
-    perms = build_from_permutations(
-        7, [parse_cycles(c, 7) for c in ("(1 2 3 4 5)", "(1 2)", "(6 7)")], name="perm-group"
-    )
     for G, k in [(make(FamilySpec("symmetric", (7,)))[0], 15),
-                 (make(FamilySpec("alternating", (7,)))[0], 9), (perms, 14)]:
+                 (make(FamilySpec("alternating", (7,)))[0], 9), (_perm_group_240(), 14)]:
         assert check_bounds(G).k == k
         assert not filled(G), G.name
     gens = [parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7)]
@@ -964,18 +968,15 @@ def test_fitting_subgroup_above_enumeration_cutoff():
 def test_closures_memory_is_linear():
     """Closures on S7 run the breadth-first pass over generator maps and
     form no |H| x |H| product block (a 5040 x 5040 int32 block is
-    101 MB) and no n x |H| commutator matrix. The span reads no table;
-    the index-two subgroups and the lower central series read it, so it
-    is filled before they are measured."""
+    101 MB) and no n x |H| commutator matrix. The span, the index-two
+    subgroups and the upper central series read no table."""
     G, _ = make(FamilySpec("symmetric", (7,)))
-    for fill, call, expected in [
-        (False, lambda: subgroup_from_generators(G, G.generators).order, 5040),
-        (True, lambda: [H.order for H in index_two_subgroups(G)], [2520]),
-        (True, lambda: is_nilpotent(G), False),
+    for call, expected in [
+        (lambda: subgroup_from_generators(G, G.generators).order, 5040),
+        (lambda: [H.order for H in index_two_subgroups(G)], [2520]),
+        (lambda: is_nilpotent(G), False),
     ]:
-        if fill:
-            assert G.op.shape == (5040, 5040)
-        assert filled(G) == fill
+        assert not filled(G)
         tracemalloc.start()
         try:
             assert call() == expected
@@ -983,6 +984,35 @@ def test_closures_memory_is_linear():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make(FamilySpec("symmetric", (7,)))[0],
+    lambda: make(FamilySpec("alternating", (7,)))[0],
+    _perm_group_240,
+], ids=["S7", "A7", "perms240"])
+def test_structure_routines_build_no_table(build):
+    """Every structure routine on a group built from permutations reads
+    right maps and conjugation maps only: none fills the n^2 table."""
+    G = build()
+    derived = derived_subgroup(G)
+    calls = [
+        lambda: conjugacy_classes(G),
+        lambda: center(G),
+        lambda: centralizer(G, derived.members),
+        lambda: derived_subgroup(G),
+        lambda: fitting_subgroup(G),
+        lambda: is_normal(G, derived),
+        lambda: normal_core(G, subgroup_from_generators(G, G.generators[:1])),
+        lambda: orbit_count_on_normal(G, derived),
+        lambda: is_nilpotent(G),
+        lambda: index_two_subgroups(G),
+        lambda: verify_special_forms(G),
+    ]
+    assert not filled(G)
+    for i, call in enumerate(calls):
+        call()
+        assert not filled(G), i
 
 
 def test_fitting_contains_all_nilpotent_normals(corpus48, normals_of):
@@ -1326,8 +1356,11 @@ def test_structure_matches_sympy(group, rng):
         assert conjugacy_classes(T).count == len(S.conjugacy_classes())
         assert center(T).order == S.center().order()
         assert derived_subgroup(T).order == S.derived_subgroup().order()
-        assert filled(T) == (T is not lazy)
+        assert centralizer(T, derived_subgroup(T).members).order == (
+            S.centralizer(S.derived_subgroup()).order()
+        )
         assert is_nilpotent(T) == S.is_nilpotent
+        assert filled(T) == (T is not lazy)
 
 
 def test_generators_of_trivial_and_cyclic_groups():
