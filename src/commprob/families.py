@@ -337,8 +337,8 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
     """Deterministic ground-truth corpus of order <= max_order.
 
     All base-family members, then all unordered pairwise direct products
-    of base members of order >= 2 that fit under the cap, each formed
-    from the factor tables already built. Nothing is deduplicated here;
+    of base members of order >= 2 that fit under the cap, each keeping
+    the factors already built. Nothing is deduplicated here;
     fingerprint-based dedup is a reporting concern. The table cells are
     counted from the orders and checked before anything is built.
     """

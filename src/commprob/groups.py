@@ -17,12 +17,14 @@ s, t in S, and a subset closed under every map is normal.
 
 These routines read no n x n table: they need the right-multiplication
 map x -> xs of a few elements s (``GroupTable._right_map``, the one
-place that knows how a product is formed) and ``inv``, O(r n) ints. A
-group built from permutations keeps its closure's generator maps,
-composes the map of any s along the breadth-first word of s, and fills
-its table from its left maps only when a routine first reads ``op``
-(subgroup enumeration, subgroup tables, quotients, pair counts). Every
-other group is built with its table and reads the maps off it.
+place that knows how a product is formed) and ``inv``, O(r n) ints; each
+generator's map is formed once per group. A group built from
+permutations keeps its closure's generator maps and composes the map of
+any s along the breadth-first word of s; a direct product keeps its
+factors and forms the map of (x, y) from theirs. Either fills its table
+only when a routine first reads ``op`` (subgroup enumeration, subgroup
+tables, quotients, pair counts). Every other group is built with its
+table and reads the maps off it.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
@@ -102,8 +104,9 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 class _Table:
     """The ``op`` field of :class:`GroupTable` when no table was given: the
-    first read fills it from the closure and keeps it in the instance,
-    where later reads find it first (a non-data descriptor, as
+    first read fills it from the group's map source (a :class:`_Closure`
+    or a :class:`_Product`) and keeps it in the instance, where later
+    reads find it first (a non-data descriptor, as
     ``functools.cached_property``)."""
 
     def __get__(self, G, owner=None) -> np.ndarray:
@@ -118,12 +121,14 @@ class _Table:
 class GroupTable:
     """A finite group: ``op[x, y]`` is the product xy, ``inv[x]`` the inverse.
 
-    A table built from permutations holds its closure's maps
-    (``closure``, a :class:`_Closure`) and is given ``op=None``: it fills
-    ``op`` from them on first read. Every other constructor hands ``op``
-    over. ``order``, ``generators``, ``conjugation`` and the orbit-method
-    routines read no table that is not filled yet; they take
-    right-multiplication maps from :meth:`_right_map`.
+    A group built from permutations or as a direct product holds a map
+    source (``closure``: a :class:`_Closure` of the permutations' maps,
+    or a :class:`_Product` of the two factors) and is given ``op=None``:
+    it fills ``op`` from that source on first read. Every other
+    constructor hands ``op`` over. ``order``, ``generators``,
+    ``conjugation`` and the orbit-method routines read no table that is
+    not filled yet; they take right-multiplication maps from
+    :meth:`_right_map`.
 
     ``validation`` records how associativity was established: "full"
     (a Cayley table checked by Light's test, exact at every order) or
@@ -131,7 +136,7 @@ class GroupTable:
     construction).
     """
 
-    closure: _Closure | None = field(default=None, repr=False, kw_only=True)
+    closure: _Closure | _Product | None = field(default=None, repr=False, kw_only=True)
     op: np.ndarray = _Table()
     inv: np.ndarray
     name: str = ""
@@ -141,15 +146,10 @@ class GroupTable:
         if self.op is not None:
             self.op.setflags(write=False)
         elif self.closure is None:
-            raise ValueError("a group needs its table or the closure that fills it")
+            raise ValueError("a group needs its table or the closure or product that fills it")
         else:
             del vars(self)["op"]  # the first read fills it
         self.inv.setflags(write=False)
-
-    @property
-    def _lazy(self) -> _Closure | None:
-        """The closure while the table is not filled, else None."""
-        return None if "op" in vars(self) else self.closure
 
     @property
     def order(self) -> int:
@@ -174,10 +174,20 @@ class GroupTable:
 
     def _right_map(self, s: int) -> np.ndarray:
         """R_s, the map x -> xs, of any element s: column s of the table
-        when it is filled, else the closure's generator maps composed
-        along the breadth-first word of s."""
-        c = self._lazy
-        return self.op[:, s] if c is None else c.compose(s)
+        when it is filled, else composed by the map source (see
+        :meth:`_Closure.compose` and :meth:`_Product.compose`)."""
+        op = vars(self).get("op")
+        return self.closure.compose(s) if op is None else op[:, s]
+
+    @cached_property
+    def _generator_maps(self) -> dict[int, np.ndarray]:
+        """Each generator's right map, read-only, in pick order: the maps
+        that :func:`_greedy` takes from :meth:`_right_map` while it picks,
+        so routines that need them compose none again."""
+        maps = dict(_greedy(self.order, self._right_map))
+        for R in maps.values():
+            R.setflags(write=False)
+        return maps
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -187,7 +197,7 @@ class GroupTable:
         Each pick at least doubles the subgroup, so there are at most
         log2(n) generators; the trivial group has none.
         """
-        return tuple(_greedy(self.order, self._right_map))
+        return tuple(self._generator_maps)
 
     @cached_property
     def conjugation(self) -> np.ndarray:
@@ -196,7 +206,7 @@ class GroupTable:
 
         s^-1 x s = (x^-1 s)^-1 s, so each row is ``R[inv[R[inv]]]`` for the
         right map R of s: two gathers through R and one through ``inv``."""
-        rows = [R[self.inv[R[self.inv]]] for R in map(self._right_map, self.generators)]
+        rows = [R[self.inv[R[self.inv]]] for R in self._generator_maps.values()]
         maps = np.array(rows, dtype=_DTYPE).reshape(len(rows), self.order)
         maps.setflags(write=False)
         return maps
@@ -243,6 +253,48 @@ class _Closure:
             k, h = self.parent[i]
             # indices are in range; "clip" skips the buffered copy of "raise"
             op[k].take(self.left[h], out=op[i], mode="clip")
+        return op
+
+
+@dataclass(frozen=True, eq=False)
+class _Product:
+    """The factors of a direct product A x B, whose element x*|B| + y is
+    the pair (x, y): the product's maps are formed from theirs, O(n) each,
+    and its table only when :meth:`table` is called."""
+
+    a: GroupTable
+    b: GroupTable
+
+    def compose(self, s: int) -> np.ndarray:
+        """R_s for s = x*|B| + y: (u, v)(x, y) = (ux, vy), so R_s is R_x
+        scaled by |B| with each value repeated |B| times, plus R_y tiled
+        |A| times, one outer add of the factors' right maps."""
+        nb = self.b.order
+        x, y = divmod(s, nb)
+        return np.add.outer(self.a._right_map(x) * nb, self.b._right_map(y)).ravel()
+
+    def table(self) -> np.ndarray:
+        """The n x n table. Row x*|B| + y is A's row x, scaled by |B| with
+        each value repeated |B| times, plus B's row y tiled |A| times. The
+        first |B| rows (x = 0) are one broadcast of B's table; every later
+        block of A's rows is one add of the scaled differences a[x] - a[0],
+        repeated, onto those first rows, so the add runs over contiguous
+        stretches a whole row long, not |B| (2 for a product with C2). The
+        only temporaries are those differences, at most ``_BLOCK_CELLS``
+        cells; no n^2 array is formed besides the table."""
+        a, b = self.a, self.b
+        na, nb = a.order, b.order
+        n = na * nb
+        op = np.empty((n, n), dtype=_DTYPE)
+        first = op[:nb]
+        a0 = a.op[0].astype(_DTYPE)
+        np.add((a0 * nb)[None, :, None], b.op[:, None, :], out=first.reshape(nb, na, nb))
+        step = max(1, _BLOCK_CELLS // n)  # rows of A per block
+        for lo in range(1, na, step):
+            delta = np.repeat((a.op[lo:lo + step] - a0) * nb, nb, axis=1)
+            np.add(first, delta[:, None, :],
+                   out=op[lo * nb:(lo + step) * nb].reshape(-1, nb, n))
+            del delta  # before the next block's is formed
         return op
 
 
@@ -428,7 +480,7 @@ def _check_associativity(op: np.ndarray) -> None:
     """
     n = op.shape[0]
     step = max(1, _BLOCK_CELLS // n)
-    for s in _greedy(n, lambda s: op[:, s]):
+    for s, _ in _greedy(n, lambda s: op[:, s]):
         for lo in range(0, n, step):
             rows = op[lo:lo + step]
             left = op[rows[:, s]]  # (xs)y
@@ -698,32 +750,19 @@ def build_from_permutations(
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Componentwise product on index pairs, packed as ``i = x*|B| + y``.
 
-    Row x*|B| + y is A's row x, scaled by |B| with each value repeated
-    |B| times, plus B's row y tiled |A| times. The first |B| rows (x = 0)
-    are one broadcast of B's table; every later block of A's rows is
-    one add of the scaled differences a[x] - a[0], repeated, onto those
-    first rows, so the add runs over contiguous stretches a whole row
-    long, not |B| (2 for a product with C2). The only temporaries are
-    those differences, at most ``_BLOCK_CELLS`` cells; no n^2 array is
-    formed besides the table.
+    The product keeps its factors (a :class:`_Product`) and ``inv``, O(n),
+    and fills no factor table: a right map is an outer add of the
+    factors' right maps, and the n x n table is filled from the factors'
+    tables on the first read of ``op``, with the same bytes whenever it
+    is read.
     """
     na, nb = a.order, b.order
     n = na * nb
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"product order {n} exceeds cap {ORDER_CAP}")
-    op = np.empty((n, n), dtype=_DTYPE)
-    first = op[:nb]
-    a0 = a.op[0].astype(_DTYPE)
-    np.add((a0 * nb)[None, :, None], b.op[:, None, :], out=first.reshape(nb, na, nb))
-    step = max(1, _BLOCK_CELLS // n)  # rows of A per block
-    for lo in range(1, na, step):
-        delta = np.repeat((a.op[lo:lo + step] - a0) * nb, nb, axis=1)
-        np.add(first, delta[:, None, :],
-               out=op[lo * nb:(lo + step) * nb].reshape(-1, nb, n))
-        del delta  # before the next block's is formed
     inv = (a.inv[:, None].astype(_DTYPE) * nb + b.inv[None, :]).reshape(n)
     name = f"{a.name or 'A'}x{b.name or 'B'}"
-    return GroupTable(op=op, inv=inv, name=name)
+    return GroupTable(None, inv, name=name, closure=_Product(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -790,19 +829,22 @@ def _extend(right: list[list[int]], seen: list[bool]) -> list[int]:
     return reached
 
 
-def _greedy(n: int, right_map: Callable[[int], np.ndarray]) -> Iterator[int]:
+def _greedy(
+    n: int, right_map: Callable[[int], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
     """Generators of a group of order n whose right-multiplication maps
     ``right_map`` gives, picked greedily: each is the smallest element
-    outside the set generated so far, yielded after :func:`_extend` has
-    grown that set by it."""
+    outside the set generated so far, yielded with its map after
+    :func:`_extend` has grown that set by it."""
     seen = [True] + [False] * (n - 1)
     right: list[list[int]] = []
     size = s = 1
     while size < n:
         s = seen.index(False, s)
-        right.append(right_map(s).tolist())
+        R = right_map(s)
+        right.append(R.tolist())
         size += len(_extend(right, seen))
-        yield s
+        yield s, R
 
 
 def _generate(G: GroupTable, seed, right: list[list[int]], seen: list[bool]) -> None:
@@ -883,18 +925,22 @@ def _orbit_labels(maps: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _normal_closure(G: GroupTable, seed) -> np.ndarray:
+def _normal_closure(G: GroupTable, seed, *, p_group: bool = False) -> np.ndarray | None:
     """Sorted members of the smallest normal subgroup holding ``seed``.
 
     N grows by the seed through :func:`_generate`, and then by every
     conjugate N^s that falls outside it, until N^s lies in N for every
-    generator s of G. Each round at least doubles N.
+    generator s of G. Each round at least doubles N. With ``p_group``,
+    None as soon as the order of N is not a prime power: N lies in the
+    closure, so the closure is no p-group either.
     """
     seen = [True] + [False] * (G.order - 1)
     right: list[list[int]] = []
     pending = seed
     while True:
         _generate(G, pending, right, seen)
+        if p_group and not prime_power(seen.count(True)):
+            return None
         mask = np.frombuffer(bytes(seen), dtype=bool)
         pending = G.conjugation[:, mask].ravel()
         pending = pending[~mask[pending]]
@@ -967,7 +1013,7 @@ def derived_subgroup(G: GroupTable) -> Subgroup:
     of the commutators [s, t] = (t^-1)^s t of the generators s, t, each
     a conjugation map followed by the right map of t."""
     conj = G.conjugation
-    comms = [G._right_map(t)[conj[:, G.inv[t]]] for t in G.generators]
+    comms = [R[conj[:, G.inv[t]]] for t, R in G._generator_maps.items()]
     members = _normal_closure(G, comms)
     return Subgroup(G, tuple(members.tolist()))
 
@@ -1119,14 +1165,18 @@ def fitting_subgroup(G: GroupTable) -> Subgroup:
     F(G) is generated by the O_p(G), and x lies in O_p(G) exactly when its
     normal closure <x^G>, which depends only on x's class, is a p-group.
     A class inside a closure that passed is skipped: a subgroup of a
-    p-group is a p-group. The classes that pass are a normal set, so the
-    subgroup they generate is normal.
+    p-group is a p-group. A closure is given up as soon as the subgroup
+    grown so far, <x> first, is not of prime-power order. The classes
+    that pass are a normal set, so the subgroup they generate is normal.
+    A p-group is nilpotent: it is its own Fitting subgroup.
     """
+    if prime_power(G.order):
+        return Subgroup(G, tuple(range(G.order)))
     passed = np.arange(G.order) == 0
     for cls in conjugacy_classes(G).classes:
         if not passed[cls[0]]:
-            closure = _normal_closure(G, [cls[0]])
-            if prime_power(closure.size):
+            closure = _normal_closure(G, [cls[0]], p_group=True)
+            if closure is not None:
                 passed[closure] = True
     return Subgroup(G, tuple(_span(G, np.flatnonzero(passed)).tolist()))
 
@@ -1155,8 +1205,7 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
     index is 2. Every square lies in every kernel, so there is none when
     the generators' squares generate G as a normal subgroup.
     """
-    gens = G.generators
-    right = {s: G._right_map(s) for s in gens}
+    gens, right = G.generators, G._generator_maps
     if _normal_closure(G, [right[s][s] for s in gens]).size == G.order:
         return []
     out = []

@@ -181,7 +181,7 @@ def verify_special_forms(G: GroupTable) -> list[SpecialFormMatch]:
 
     # a G' of order 2 is central, so G/Z is elementary abelian exactly when
     # the generators' squares are central; its rank is then log2 |G:Z| (>= 2)
-    if derived.order == 2 and all(zent.mask[G._right_map(s)[s]] for s in G.generators):
+    if derived.order == 2 and all(zent.mask[R[s]] for s, R in G._generator_maps.items()):
         rank = (G.order // zent.order).bit_length() - 1
         if rank % 2 == 0:
             s = rank // 2

@@ -29,7 +29,7 @@ from commprob.errors import (
     OrderCapExceeded,
     UnsupportedParams,
 )
-from commprob.families import FamilySpec, corpus, make
+from commprob.families import FamilySpec, corpus, make, product_spec
 from commprob.groups import (
     ORDER_CAP,
     GroupTable,
@@ -534,17 +534,47 @@ def test_direct_product_bytes_are_pinned(factors, digest):
                                      (("cyclic", 2), ("cyclic", 2000))],
                          ids=["S6xC4", "C2xC2000"])
 def test_direct_product_memory_is_one_table(factors):
-    """A product holds its int32 table and temporaries of a few MiB, with
-    a small second factor (A's rows in two blocks) and with a large one."""
+    """A product is built in O(n) memory, and filling its table holds the
+    int32 table and temporaries of a few MiB, with a small second factor
+    (A's rows in two blocks) and with a large one."""
     a, b = (_family(f, p) for f, p in factors)
     tracemalloc.start()
     try:
         P = direct_product(a, b)
+        built = tracemalloc.get_traced_memory()[1]
+        assert P.op.shape == (P.order, P.order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert P.order == a.order * b.order
+    assert built < 2**20
     assert peak <= P.op.nbytes + 8 * 2**20
+
+
+def test_product_bounds_builds_no_table():
+    """The bound suite on A6 x Dic2, S5 x S4 and C2 x S7 (order 10 080,
+    whose table would take 406 MB) reads only the factors' maps: no
+    product table is filled, each product and its bounds peak far below
+    16 MiB, and A6 x Dic2's table read afterwards has the pinned bytes."""
+    for (fa, pa), (fb, pb), k in [(("alternating", 6), ("dicyclic", 2), 35),
+                                  (("symmetric", 5), ("symmetric", 4), 35),
+                                  (("cyclic", 2), ("symmetric", 7), 30)]:
+        a, b = _family(fa, pa), _family(fb, pb)
+        tracemalloc.start()
+        try:
+            P = direct_product(a, b)
+            report = check_bounds(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.order, report.k) == (a.order * b.order, k)
+        assert not filled(P), P.name
+        assert peak < 16 * 2**20, P.name
+    P = direct_product(_family("alternating", 6), _family("dicyclic", 2))
+    check_bounds(P)
+    assert hashlib.sha256(P.op.tobytes() + P.inv.tobytes()).hexdigest() == (
+        "76eda11b2577c540cef94721efcb96f6c180e0784a6770003d59c9c7e9dea7b6"
+    )
 
 
 def test_quotient(named, normals_of):
@@ -734,13 +764,13 @@ def _structure(G: GroupTable) -> tuple:
 
 def test_structure_is_the_same_before_and_after_the_fill(corpus64):
     """Generators, conjugation maps, classes, center and derived subgroup
-    of each permutation-built member of corpus(64) are the same read off
-    the closure's maps as off the filled table, and reading them off the
-    maps fills no table."""
+    of each member of corpus(64) built from permutations or as a product
+    are the same read off its maps as off the filled table, and reading
+    them off the maps fills no table."""
     checked = 0
     for _, spec in corpus64:
         lazy, _ = make(spec)
-        if lazy.closure is None:  # a product or a closed form: built with its table
+        if lazy.closure is None:  # a closed form: built with its table
             continue
         before = _structure(lazy)
         assert not filled(lazy), spec.name
@@ -748,16 +778,41 @@ def test_structure_is_the_same_before_and_after_the_fill(corpus64):
         assert table.op.shape == (table.order, table.order)
         assert _structure(table) == before, spec.name
         checked += 1
-    assert checked > 30
+    assert checked >= 343  # 37 permutation groups and 306 products
 
 
-def test_renamed_group_keeps_its_table_unfilled():
-    G, _ = make(FamilySpec("symmetric", (5,)))
+@pytest.mark.parametrize("spec", [FamilySpec("symmetric", (5,)),
+                                  product_spec(FamilySpec("alternating", (5,)),
+                                               FamilySpec("symmetric", (4,)))],
+                         ids=["S5", "A5xS4"])
+def test_renamed_group_keeps_its_table_unfilled(spec):
+    G, _ = make(spec)
     R = G.renamed("S")
-    assert (R.name, R.order, R.closure) == ("S", 120, G.closure)
+    assert (R.name, R.order, R.closure) == ("S", G.order, G.closure)
     assert not filled(R) and not filled(G)
     assert np.array_equal(R.op, G.op)
     assert G.renamed("T").op is G.op  # a filled table is shared
+
+
+@pytest.mark.parametrize("lazy", [lambda: make(FamilySpec("symmetric", (6,)))[0],
+                                  lambda: direct_product(_family("symmetric", 4),
+                                                         _family("dihedral", 6))],
+                         ids=["S6", "S4xD6"])
+def test_generator_maps_are_formed_once(lazy, monkeypatch):
+    """``conjugation`` and ``derived_subgroup`` read the right maps that
+    ``generators`` formed, and form none of a generator again (no
+    generator of these groups lies in G', so no normal closure asks for
+    one either)."""
+    G = lazy()
+    gens = G.generators
+    asked = []
+    right_map = GroupTable._right_map
+    monkeypatch.setattr(GroupTable, "_right_map",
+                        lambda self, s: asked.append((self, s)) or right_map(self, s))
+    G.conjugation
+    derived_subgroup(G)
+    assert not [s for H, s in asked if H is G and s in gens]
+    assert not filled(G)
 
 
 def test_is_abelian_reads_the_conjugation_maps(corpus64):
