@@ -34,9 +34,7 @@ from .groups import (
     build_from_permutations,
     center,
     centralizer,
-    commutator,
     conjugacy_classes,
-    conjugate,
     derived_subgroup,
     direct_product,
     fitting_subgroup,

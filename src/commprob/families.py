@@ -7,10 +7,13 @@ direct products. ``make`` records two metadata fields, never computed
 from the table: ``expected_pr``, a classical closed form for Pr (cyclic
 = 1, dihedral of both parities, A4/S4/A5, extraspecial, multiplicativity
 for products), and ``expected_d``, the standard minimum nonlinear
-irreducible degree. ``corpus`` builds each group once, forming products
-from the factor tables it has built. It holds every table at once, so it
-refuses with ``OrderCapExceeded``, before building anything, when they
-would hold more than ``ORDER_CAP**2`` cells (one table at the cap).
+irreducible degree. ``corpus`` builds each base member once, and each
+product keeps the two members it is formed from as its factors: it fills
+no table until its ``op`` is read (see
+:func:`commprob.groups.direct_product`). The corpus budget counts the
+n^2 cells of every member, products included, as if each table were
+filled, and ``corpus`` refuses with ``OrderCapExceeded``, before
+building anything, above ``ORDER_CAP**2`` cells (one table at the cap).
 """
 
 from __future__ import annotations
@@ -26,20 +29,15 @@ from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
     _BLOCK_CELLS,
     _DTYPE,
-    _cosets,
     _inverses,
     ORDER_CAP,
     GroupTable,
     Permutation,
     build_from_permutations,
-    conjugacy_classes,
     direct_product,
     is_abelian,
     prime_power,
-    quotient,
-    subgroup_from_generators,
 )
-from .probability import pr_direct
 
 SYMMETRIC_DEGREE_CAP = 7
 ALTERNATING_DEGREE_CAP = 7
@@ -194,21 +192,6 @@ def heisenberg_table(p: int, s: int) -> GroupTable:
     return GroupTable(op=op, inv=_inverses(op), name=f"ES{p}_{s}")
 
 
-def central_product(
-    a: GroupTable, za: int, b: GroupTable, zb: int
-) -> tuple[GroupTable, int]:
-    """(A x B) / <(za, zb^-1)> for central elements za, zb of equal order.
-
-    Returns the quotient and the image of (za, 1) in it, so products can
-    be iterated.
-    """
-    prod = direct_product(a, b)
-    glue = int(za) * b.order + int(b.inv[zb])
-    N = subgroup_from_generators(prod, [glue])
-    coset_of, _ = _cosets(prod, N.members)
-    return quotient(prod, N), int(coset_of[int(za) * b.order])
-
-
 # ---------------------------------------------------------------------------
 # family dispatch
 # ---------------------------------------------------------------------------
@@ -338,8 +321,9 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
 
     All base-family members, then all unordered pairwise direct products
     of base members of order >= 2 that fit under the cap, each keeping
-    the factors already built. Nothing is deduplicated here;
-    fingerprint-based dedup is a reporting concern. The table cells are
+    the two members already built as its factors. Nothing is
+    deduplicated: isomorphic members (C6 and C2 x C3, say) are each
+    listed. The n^2 cells of every member, products included, are
     counted from the orders and checked before anything is built.
     """
     if max_order < 1:
@@ -390,9 +374,3 @@ def corpus(max_order: int) -> list[tuple[GroupTable, FamilySpec]]:
         _product(built[i], built[j], product_spec(built[i][1], built[j][1]))
         for i, j in pairs
     ]
-
-
-def fingerprint(G: GroupTable) -> tuple[int, Fraction, tuple[int, ...]]:
-    """(order, Pr, sorted class-size multiset): the reporting dedup key."""
-    part = conjugacy_classes(G)
-    return (G.order, pr_direct(G), tuple(sorted(part.sizes())))

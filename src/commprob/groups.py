@@ -28,9 +28,15 @@ table and reads the maps off it.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
-F(G) is built from normal closures of single classes, the upper central
-series from coset labels of its terms, and the index-2 subgroups from
-normal closures of generator products.
+F(G) is built from normal closures of single classes, and the index-2
+subgroups from normal closures of generator products.
+
+Classes and cosets are the orbits of a few maps, numbered by their
+smallest point (``_orbits``): the classes under the conjugation maps,
+the cosets xN of a normal N (quotients, the upper central series) under
+the right maps of N's generators. A normal subgroup is a union of
+classes, so the conjugation orbit count on it and the normal core of a
+subgroup are read off the class partition.
 
 The same greedy generators validate a Cayley table exactly, at every
 order: associativity by Light's test, (xs)y = x(sy) for each generator s
@@ -374,23 +380,6 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(self.degree)):
             raise ValueError("images must be a bijection of [0, degree)")
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Left-to-right composition: apply self first, then other."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(
-            self.degree, tuple(other.images[p] for p in self.images)
-        )
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, im in enumerate(self.images):
-            out[im] = i
-        return Permutation(self.degree, tuple(out))
-
-    def is_identity(self) -> bool:
-        return all(i == im for i, im in enumerate(self.images))
 
 
 # ---------------------------------------------------------------------------
@@ -766,37 +755,6 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# elementwise operations
-# ---------------------------------------------------------------------------
-
-
-def conjugate(G: GroupTable, x: int, y: int) -> int:
-    """x^y = y^-1 x y."""
-    return int(G.op[G.op[G.inv[y], x], y])
-
-
-def commutator(G: GroupTable, x: int, y: int) -> int:
-    """[x, y] = x^-1 y^-1 x y."""
-    return int(G.op[G.op[G.op[G.inv[x], G.inv[y]], x], y])
-
-
-def element_orders(G: GroupTable) -> list[int]:
-    orders = [1] * G.order
-    for g in range(1, G.order):
-        k, cur = 1, g
-        while cur != 0:
-            cur = int(G.op[cur, g])
-            k += 1
-        orders[g] = k
-    return orders
-
-
-def is_abelian(G: GroupTable) -> bool:
-    """Whether every generator's conjugation map is the identity."""
-    return bool((G.conjugation == np.arange(G.order)).all())
-
-
-# ---------------------------------------------------------------------------
 # closures and subgroups
 # ---------------------------------------------------------------------------
 
@@ -906,14 +864,19 @@ def subgroup_table(G: GroupTable, sub: Subgroup) -> GroupTable:
     return GroupTable(op=op, inv=inv, name=f"{G.name}|sub{len(members)}")
 
 
-def _orbit_labels(maps: np.ndarray) -> np.ndarray:
-    """The smallest point of each point's orbit under the permutations of
-    range(m) in the rows of ``maps``.
+def _orbits(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of the permutations of range(m) in the rows of ``maps``,
+    numbered by their smallest point: ``orbit_of[x]`` is the number of
+    x's orbit, ``reps[c]`` the smallest point of orbit c (so the orbit of
+    0 is 0). Classes and cosets both read their partition from here.
 
     Min-label propagation with pointer jumping: every point takes the
     least label among itself and its images, then the label of its label.
     Labels only fall and always name a point of the same orbit, and the
-    maps generate a group, so the fixed point is the orbit minimum.
+    maps generate a group, so the fixed point is the orbit minimum. A
+    label moves against the maps, from an image to its preimage, so on a
+    long cycle numbered in increasing order it moves one point a round;
+    a caller whose maps have such cycles lists their inverses as well.
     """
     m = maps.shape[1]
     label = np.arange(m, dtype=_DTYPE)
@@ -921,8 +884,10 @@ def _orbit_labels(maps: np.ndarray) -> np.ndarray:
         new = np.minimum(label, label[maps].min(axis=0, initial=m))
         new = new[new]
         if np.array_equal(new, label):
-            return label
+            break
         label = new
+    reps = np.flatnonzero(label == np.arange(m)).astype(_DTYPE)
+    return np.searchsorted(reps, label).astype(_DTYPE), reps
 
 
 def _normal_closure(G: GroupTable, seed, *, p_group: bool = False) -> np.ndarray | None:
@@ -955,18 +920,19 @@ def _commutators(G: GroupTable, rows, cols) -> np.ndarray:
     return G.op[G.op[G.op[np.ix_(G.inv[rows], G.inv[cols])], rows[:, None]], cols[None, :]]
 
 
-def _cosets(G: GroupTable, members) -> tuple[np.ndarray, np.ndarray]:
-    """Right cosets Hx of the member set H, numbered by their smallest
-    element: ``coset_of[x]`` is the number of Hx, ``reps[c]`` the smallest
-    element of coset c (so the coset of the identity is 0)."""
-    members = np.asarray(members, dtype=_DTYPE)
-    coset_of = np.full(G.order, -1, dtype=_DTYPE)
-    reps: list[int] = []
-    for x in range(G.order):
-        if coset_of[x] < 0:
-            coset_of[G.op[members, x]] = len(reps)
-            reps.append(x)
-    return coset_of, np.asarray(reps, dtype=_DTYPE)
+def _cosets(G: GroupTable, N: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets xN = Nx of a normal subgroup N, numbered by their
+    smallest element: ``coset_of[x]`` is the number of xN, ``reps[c]``
+    the smallest element of coset c (so N itself is coset 0).
+
+    They are the orbits of the right maps that :func:`_generate` collects
+    for N. N's first generator is its smallest member other than the
+    identity, whose cycles x, xs, xs^2, ... often run in increasing order
+    (a cyclic N numbered by powers), so the inverse maps are listed too."""
+    right: list[list[int]] = []
+    _generate(G, N.members, right, [True] + [False] * (G.order - 1))
+    maps = np.array(right, dtype=_DTYPE).reshape(len(right), G.order)
+    return _orbits(np.concatenate([maps, maps.argsort(axis=1).astype(_DTYPE)]))
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
@@ -976,9 +942,7 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
     only. Classes are numbered by their smallest element and list their
     members in increasing order.
     """
-    label = _orbit_labels(G.conjugation)
-    reps = np.flatnonzero(label == np.arange(G.order))  # each orbit's smallest element
-    class_of = np.searchsorted(reps, label).astype(_DTYPE)
+    class_of, reps = _orbits(G.conjugation)
     classes: list[list[int]] = [[] for _ in range(reps.size)]
     for x, c in enumerate(class_of.tolist()):
         classes[c].append(x)
@@ -999,6 +963,11 @@ def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
     for R in map(np.array, right):
         fixed &= R[inv[R[inv]]] == np.arange(G.order)
     return Subgroup(G, tuple(np.flatnonzero(fixed).tolist()))
+
+
+def is_abelian(G: GroupTable) -> bool:
+    """Whether every generator's conjugation map is the identity."""
+    return bool((G.conjugation == np.arange(G.order)).all())
 
 
 def center(G: GroupTable) -> Subgroup:
@@ -1108,7 +1077,7 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     """
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    coset_of, reps = _cosets(G, N.members)
+    coset_of, reps = _cosets(G, N)
     q_op = coset_of[G.op[np.ix_(reps, reps)]]
     q_inv = coset_of[G.inv[reps]]
     return GroupTable(op=q_op, inv=q_inv, name=f"{G.name or 'G'}/N{N.order}")
@@ -1116,28 +1085,21 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
 
 def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     """Intersection of all conjugates of H: the largest normal subgroup
-    of G inside H."""
+    of G inside H, the union of the conjugacy classes inside H (x is in
+    every conjugate of H exactly when its whole class lies in H)."""
     _check_parent(G, H)
-    # x is in every conjugate of H exactly when its whole class lies in H:
-    # drop every x with some x^s outside the set until nothing is dropped
-    mask = H.mask.copy()
-    members = np.flatnonzero(mask)
-    while True:
-        keep = mask[G.conjugation[:, members]].all(axis=0)
-        if keep.all():
-            return Subgroup(G, tuple(members.tolist()))
-        mask[members[~keep]] = False
-        members = members[keep]
+    class_of, reps = _orbits(G.conjugation)
+    leaves = np.zeros(reps.size, dtype=bool)
+    leaves[class_of[~H.mask]] = True  # the classes with an element outside H
+    return Subgroup(G, tuple(np.flatnonzero(~leaves[class_of]).tolist()))
 
 
 def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
-    """Number of conjugation orbits of G on a normal subgroup N."""
+    """Number of conjugation orbits of G on a normal subgroup N: N is a
+    union of conjugacy classes, each counted by its smallest element."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    # the generators' conjugation maps, as permutations of places in N
-    pos = np.cumsum(N.mask, dtype=_DTYPE) - 1
-    maps = pos[G.conjugation[:, N.mask]]
-    return int(np.unique(_orbit_labels(maps)).size)
+    return int(N.mask[_orbits(G.conjugation)[1]].sum())
 
 
 def is_nilpotent(G: GroupTable) -> bool:
@@ -1145,15 +1107,15 @@ def is_nilpotent(G: GroupTable) -> bool:
 
     x lies in Z_(i+1) when each x^s, s a generator of G, lies in the
     coset x Z_i: then every [x, s], and so [x, G], lies in Z_i. The
-    cosets x Z_i are the orbits of the right maps that :func:`_generate`
-    collects for Z_i, labelled by :func:`_orbit_labels`.
+    cosets x Z_i are the orbits (:func:`_orbits`) of the right maps that
+    :func:`_generate` collects for Z_i.
     """
     seen = [True] + [False] * (G.order - 1)
     right: list[list[int]] = []
     while not all(seen):
-        label = _orbit_labels(np.array(right, dtype=_DTYPE).reshape(len(right), G.order))
+        coset_of, _ = _orbits(np.array(right, dtype=_DTYPE).reshape(len(right), G.order))
         size = len(right)
-        _generate(G, np.flatnonzero((label[G.conjugation] == label).all(axis=0)), right, seen)
+        _generate(G, np.flatnonzero((coset_of[G.conjugation] == coset_of).all(axis=0)), right, seen)
         if len(right) == size:  # Z_(i+1) = Z_i < G
             return False
     return True

@@ -1,0 +1,66 @@
+"""Independent oracles the suites compare the library against.
+
+Each one reads products straight off the n x n table, one element at a
+time, with none of the orbit or map machinery it checks.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from commprob.groups import (
+    GroupTable,
+    conjugacy_classes,
+    direct_product,
+    quotient,
+    subgroup_from_generators,
+)
+from commprob.probability import pr_direct
+
+
+def conjugate(G: GroupTable, x: int, y: int) -> int:
+    """x^y = y^-1 x y."""
+    return int(G.op[G.op[G.inv[y], x], y])
+
+
+def element_orders(G: GroupTable) -> list[int]:
+    """The order of each element, by repeated multiplication."""
+    orders = [1] * G.order
+    for g in range(1, G.order):
+        k, cur = 1, g
+        while cur != 0:
+            cur = int(G.op[cur, g])
+            k += 1
+        orders[g] = k
+    return orders
+
+
+def cosets_by_table(G: GroupTable, members) -> tuple[np.ndarray, np.ndarray]:
+    """Right cosets Hx of the member set H, numbered by their smallest
+    element: each x not yet covered marks the column of products h x."""
+    members = np.asarray(members)
+    coset_of = np.full(G.order, -1, dtype=np.int32)
+    reps: list[int] = []
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            coset_of[G.op[members, x]] = len(reps)
+            reps.append(x)
+    return coset_of, np.asarray(reps, dtype=np.int32)
+
+
+def central_product(
+    a: GroupTable, za: int, b: GroupTable, zb: int
+) -> tuple[GroupTable, int]:
+    """(A x B) / <(za, zb^-1)> for central elements za, zb of equal order,
+    with the image of (za, 1) in it, so products can be iterated."""
+    prod = direct_product(a, b)
+    N = subgroup_from_generators(prod, [int(za) * b.order + int(b.inv[zb])])
+    coset_of, _ = cosets_by_table(prod, N.members)
+    return quotient(prod, N), int(coset_of[int(za) * b.order])
+
+
+def fingerprint(G: GroupTable) -> tuple[int, Fraction, tuple[int, ...]]:
+    """(order, Pr, sorted class-size multiset)."""
+    return (G.order, pr_direct(G), tuple(sorted(conjugacy_classes(G).sizes())))

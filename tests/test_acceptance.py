@@ -30,7 +30,6 @@ from commprob.groups import (
     center,
     derived_subgroup,
     direct_product,
-    element_orders,
     fitting_subgroup,
     index_two_subgroups,
     is_abelian,
@@ -45,6 +44,7 @@ from commprob.probability import (
     verify_special_forms,
 )
 
+from oracles import element_orders
 from test_egyptian import interval_has_sum
 
 DATA = Path(__file__).resolve().parent.parent / "data"

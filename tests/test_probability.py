@@ -14,13 +14,12 @@ import pytest
 
 import commprob.probability
 from commprob.errors import PreconditionFailed
-from commprob.families import FamilySpec, central_product, make
+from commprob.families import FamilySpec, make
 from commprob.groups import (
     Subgroup,
     abelian_normal_subgroups,
     center,
     derived_subgroup,
-    element_orders,
     is_abelian,
     largest_abelian_normal_subgroup,
     orbit_count_on_normal,
@@ -40,6 +39,8 @@ from commprob.probability import (
     SpecialFormMatch,
     verify_special_forms,
 )
+
+from oracles import central_product, element_orders
 
 
 def naive_pr(table) -> Fraction:
