@@ -7,13 +7,23 @@ direct products. ``make`` records two metadata fields, never computed
 from the table: ``expected_pr``, a classical closed form for Pr (cyclic
 = 1, dihedral of both parities, A4/S4/A5, extraspecial, multiplicativity
 for products), and ``expected_d``, the standard minimum nonlinear
-irreducible degree. ``corpus`` builds each base member once, and each
-product keeps the two members it is formed from as its factors: it fills
-no table until its ``op`` is read (see
-:func:`commprob.groups.direct_product`). The corpus budget counts the
-n^2 cells of every member, products included, as if each table were
-filled, and ``corpus`` refuses with ``OrderCapExceeded``, before
-building anything, above ``ORDER_CAP**2`` cells (one table at the cap).
+irreducible degree.
+
+The cyclic, dicyclic and dihedral members keep their multiplication
+formula (a :class:`commprob.groups._ClosedForm`): every right map is
+one or two slices of a fixed array, and the table is filled only when
+``op`` is read. The dihedral formula keeps the numbering of the
+permutation build of x -> x + 1 and x -> -x. Symmetric and alternating
+members are closed from permutations and also fill their table only on
+a read; extraspecial members are built with their table.
+
+``corpus`` builds each base member once, and each product keeps the two
+members it is formed from as its factors: it fills no table until its
+``op`` is read (see :func:`commprob.groups.direct_product`). The corpus
+budget counts the n^2 cells of every member, products included, as if
+each table were filled, and ``corpus`` refuses with
+``OrderCapExceeded``, before building anything, above ``ORDER_CAP**2``
+cells (one table at the cap).
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
     _BLOCK_CELLS,
     _DTYPE,
+    _ClosedForm,
     _inverses,
     ORDER_CAP,
     GroupTable,
@@ -100,22 +111,91 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
+def _runs(h: int) -> np.ndarray:
+    """0..h-1 written out twice, then h..2h-1 twice, read-only: every
+    right map of the cyclic, dicyclic and dihedral families is one slice
+    of it or two slices put together."""
+    half = np.arange(h, dtype=np.intp)
+    runs = np.concatenate([half, half, half + h, half + h])
+    runs.setflags(write=False)
+    return runs
+
+
 def cyclic_table(n: int) -> GroupTable:
-    """Cyclic group of order n, reduced in place: no n^2 temporary."""
+    """Cyclic group of order n, x * y = x + y mod n.
+
+    R_s is the view ``runs[s:s + n]`` of 0..n-1 written out twice. The
+    table, filled on the first read of ``op``, is reduced in place: no
+    n^2 temporary.
+    """
     idx = np.arange(n, dtype=_DTYPE)
-    op = np.add.outer(idx, idx)
-    op %= n
-    return GroupTable(op=op, inv=(-idx) % n, name=f"C{n}")
+    runs = _runs(n)
+
+    def table() -> np.ndarray:
+        op = np.add.outer(idx, idx)
+        op %= n
+        return op
+
+    source = _ClosedForm(compose=lambda s: runs[s:s + n], table=table)
+    return GroupTable(None, (-idx) % n, name=f"C{n}", closure=source)
 
 
 def dihedral_group(n: int) -> GroupTable:
-    """Dihedral group of order 2n, built from permutations."""
+    """Dihedral group of order 2n, the maps x -> x + t and x -> -x + t of
+    Z_n, numbered as the breadth-first closure of the permutations
+    x -> x + 1 and x -> -x numbers them (the rotation first; e * g is e
+    followed by g).
+
+    For n >= 3 the map x -> sx + t has the native code t + n[s = -1], and
+    (s, t) * (s', t') = (s s', s' t + t'). A breadth-first walk on native
+    codes, O(n), gives ``order``, the native code of each element, and
+    ``pos``, its inverse. A native right map is two slices of 0..n-1 and
+    n..2n-1 written out twice (read backwards when s' = -1), and
+    R_s = ``pos[native_R[order]]``. The table, filled on the first read
+    of ``op``, is one such gather per row. D2 is C2 x C2 in the numbering
+    of ``direct_product``, where x * y = x xor y.
+    """
     if n == 2:
-        gens = [Permutation(4, (1, 0, 2, 3)), Permutation(4, (0, 1, 3, 2))]
-        return build_from_permutations(4, gens, name="D2")
-    rot = Permutation(n, tuple((i + 1) % n for i in range(n)))
-    refl = Permutation(n, tuple((n - i) % n for i in range(n)))
-    return build_from_permutations(n, [rot, refl], name=f"D{n}")
+        idx = np.arange(4, dtype=_DTYPE)
+        klein = _ClosedForm(compose=lambda s: idx ^ s,
+                            table=lambda: np.bitwise_xor.outer(idx, idx))
+        return GroupTable(None, idx, name="D2", closure=klein)
+    order, pos = [0], [0] + [-1] * (2 * n - 1)
+    for code in order:  # also visits what the loop appends
+        reflects, t = divmod(code, n)  # e * (1, 1) = (s, t + 1), e * (-1, 0) = (-s, -t)
+        for nxt in ((t + 1) % n + n * reflects, (-t) % n + n * (1 - reflects)):
+            if pos[nxt] < 0:
+                pos[nxt] = len(order)
+                order.append(nxt)
+    order_a = np.array(order, dtype=np.intp)
+    pos_a = np.array(pos, dtype=_DTYPE)
+    runs = _runs(n)
+
+    def compose(s: int) -> np.ndarray:
+        reflects, t = divmod(order[s], n)
+        if reflects:  # s = (-1, t): (1, u) -> (-1, t - u), (-1, u) -> (1, t - u)
+            native = np.concatenate([runs[3 * n + t:2 * n + t:-1], runs[n + t:t:-1]])
+        else:  # s = (1, t): (1, u) -> (1, u + t), (-1, u) -> (-1, u + t)
+            native = np.concatenate([runs[t:t + n], runs[2 * n + t:3 * n + t]])
+        return pos_a[native[order_a]]
+
+    def table() -> np.ndarray:
+        """Row i is a gather of the native left map of e_i = (s, t):
+        (s, t)(1, u) = (s, t + u) and (s, t)(-1, u) = (-s, u - t)."""
+        op = np.empty((2 * n, 2 * n), dtype=_DTYPE)
+        for i, code in enumerate(order):
+            reflects, t = divmod(code, n)
+            if reflects:
+                native = np.concatenate([runs[2 * n + t:3 * n + t], runs[n - t:2 * n - t]])
+            else:
+                native = np.concatenate([runs[t:t + n], runs[3 * n - t:4 * n - t]])
+            op[i] = pos_a[native[order_a]]
+        return op
+
+    # (1, t)^-1 = (1, -t), and every (-1, t) is an involution
+    inv = pos_a[np.where(order_a < n, -order_a % n, order_a)]
+    source = _ClosedForm(compose=compose, table=table)
+    return GroupTable(None, inv, name=f"D{n}", closure=source)
 
 
 def symmetric_group(n: int) -> GroupTable:
@@ -139,25 +219,39 @@ def alternating_group(n: int) -> GroupTable:
 def dicyclic_table(m: int) -> GroupTable:
     """Dicyclic group of order 4m: a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1.
 
-    Element a^i b^j is index i + 2m*j with i in [0, 2m), j in {0, 1}.
-    The table is filled in place, with no n^2 temporary.
+    Element a^i b^j is index i + 2m*j with i in [0, 2m), j in {0, 1}, and
+    a^i b^j * a^k b^l = a^(i + (-1)^j k + m j l) b^(j + l mod 2), from
+    b a^k = a^-k b and b^2 = a^m. So R_s for s = a^k b^l is two slices
+    put together: a^(i+k) b^l on the j = 0 half and a^(i-k+ml) b^(1+l)
+    on the j = 1 half. The table, filled on the first read of ``op``, is
+    filled in place, with no n^2 temporary.
     """
     two_m = 2 * m
-    # a^i b^j * a^k b^l = a^(i + (-1)^j k + m j l) b^(j + l mod 2), from
-    # b a^k = a^-k b and b^2 = a^m; rows from 2m on have j = 1, and
-    # columns from 2m on have l = 1
     a = np.arange(two_m, dtype=_DTYPE)
-    a_exp = np.concatenate([a, a])
-    sign = np.repeat(np.array([1, -1], dtype=_DTYPE), two_m)
-    op = np.multiply.outer(sign, a_exp)
-    op += a_exp[:, None]
-    op[two_m:, two_m:] += m
-    op %= two_m
-    op[:two_m, two_m:] += two_m
-    op[two_m:, :two_m] += two_m
+    runs = _runs(two_m)  # runs[2 two_m l + x] is a^(x mod 2m) b^l
+
+    def compose(s: int) -> np.ndarray:
+        l, k = divmod(s, two_m)
+        lo = 2 * two_m * (1 - l) + (m * l - k) % two_m
+        shift = 2 * two_m * l + k
+        return np.concatenate([runs[shift:shift + two_m], runs[lo:lo + two_m]])
+
+    def table() -> np.ndarray:
+        # rows from 2m on have j = 1, and columns from 2m on have l = 1
+        a_exp = np.concatenate([a, a])
+        sign = np.repeat(np.array([1, -1], dtype=_DTYPE), two_m)
+        op = np.multiply.outer(sign, a_exp)
+        op += a_exp[:, None]
+        op[two_m:, two_m:] += m
+        op %= two_m
+        op[:two_m, two_m:] += two_m
+        op[two_m:, :two_m] += two_m
+        return op
+
     # (a^i)^-1 = a^-i and (a^i b)^-1 = a^(i+m) b
     inv = np.concatenate([-a % two_m, (a + m) % two_m + two_m])
-    return GroupTable(op=op, inv=inv, name=f"Dic{m}")
+    source = _ClosedForm(compose=compose, table=table)
+    return GroupTable(None, inv, name=f"Dic{m}", closure=source)
 
 
 def heisenberg_table(p: int, s: int) -> GroupTable:

@@ -18,13 +18,17 @@ s, t in S, and a subset closed under every map is normal.
 These routines read no n x n table: they need the right-multiplication
 map x -> xs of a few elements s (``GroupTable._right_map``, the one
 place that knows how a product is formed) and ``inv``, O(r n) ints; each
-generator's map is formed once per group. A group built from
-permutations keeps its closure's generator maps and composes the map of
-any s along the breadth-first word of s; a direct product keeps its
-factors and forms the map of (x, y) from theirs. Either fills its table
-only when a routine first reads ``op`` (subgroup enumeration, subgroup
-tables, quotients, pair counts). Every other group is built with its
-table and reads the maps off it.
+generator's map is formed once per group. Three map sources form them
+without a table: a group built from permutations keeps its closure's
+generator maps and composes the map of any s along the breadth-first
+word of s (``_Closure``); a direct product keeps its factors and forms
+the map of (x, y) from theirs (``_Product``); and the cyclic, dicyclic
+and dihedral families form the map of s from their multiplication
+formula, as a few slices of one array (``_ClosedForm``). Each fills its
+group's table only when a routine first reads ``op`` (subgroup
+enumeration, subgroup tables, quotients, pair counts). Only Cayley
+input, quotients, subgroup tables and the extraspecial family are
+built with their table, and read the maps off it.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
@@ -110,9 +114,9 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 class _Table:
     """The ``op`` field of :class:`GroupTable` when no table was given: the
-    first read fills it from the group's map source (a :class:`_Closure`
-    or a :class:`_Product`) and keeps it in the instance, where later
-    reads find it first (a non-data descriptor, as
+    first read fills it from the group's map source (a :class:`_Closure`,
+    a :class:`_Product` or a :class:`_ClosedForm`) and keeps it in the
+    instance, where later reads find it first (a non-data descriptor, as
     ``functools.cached_property``)."""
 
     def __get__(self, G, owner=None) -> np.ndarray:
@@ -127,11 +131,13 @@ class _Table:
 class GroupTable:
     """A finite group: ``op[x, y]`` is the product xy, ``inv[x]`` the inverse.
 
-    A group built from permutations or as a direct product holds a map
-    source (``closure``: a :class:`_Closure` of the permutations' maps,
-    or a :class:`_Product` of the two factors) and is given ``op=None``:
-    it fills ``op`` from that source on first read. Every other
-    constructor hands ``op`` over. ``order``, ``generators``,
+    A group built from permutations, as a direct product or as a cyclic,
+    dicyclic or dihedral family member holds a map source (``closure``: a
+    :class:`_Closure` of the permutations' maps, a :class:`_Product` of
+    the two factors, or a :class:`_ClosedForm` of the family's formula)
+    and is given ``op=None``: it fills ``op`` from that source on first
+    read. Cayley input, quotients, subgroup tables and the extraspecial
+    family hand ``op`` over. ``order``, ``generators``,
     ``conjugation`` and the orbit-method routines read no table that is
     not filled yet; they take right-multiplication maps from
     :meth:`_right_map`.
@@ -142,7 +148,8 @@ class GroupTable:
     construction).
     """
 
-    closure: _Closure | _Product | None = field(default=None, repr=False, kw_only=True)
+    closure: _Closure | _Product | _ClosedForm | None = field(
+        default=None, repr=False, kw_only=True)
     op: np.ndarray = _Table()
     inv: np.ndarray
     name: str = ""
@@ -181,7 +188,8 @@ class GroupTable:
     def _right_map(self, s: int) -> np.ndarray:
         """R_s, the map x -> xs, of any element s: column s of the table
         when it is filled, else composed by the map source (see
-        :meth:`_Closure.compose` and :meth:`_Product.compose`)."""
+        :meth:`_Closure.compose`, :meth:`_Product.compose` and
+        :class:`_ClosedForm`)."""
         op = vars(self).get("op")
         return self.closure.compose(s) if op is None else op[:, s]
 
@@ -302,6 +310,17 @@ class _Product:
                    out=op[lo * nb:(lo + step) * nb].reshape(-1, nb, n))
             del delta  # before the next block's is formed
         return op
+
+
+@dataclass(frozen=True, eq=False)
+class _ClosedForm:
+    """A family's multiplication formula, in the numbering its builder
+    fixes (see :mod:`commprob.families`): ``compose(s)`` gives R_s, a few
+    slices of one array at about the cost of a column read, and
+    ``table()`` the n x n table."""
+
+    compose: Callable[[int], np.ndarray]
+    table: Callable[[], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,9 +681,12 @@ def build_from_permutations(
     Elements are numbered by breadth-first discovery with the generator
     order fixed, so identical input always yields identical numbering.
     The closure records ``right[k][g]``, the index of e_k * g, and the
-    (k, g) that first reached each element e_j = e_k * g. Each step reads
-    every generator's image tuple through one ``itemgetter`` of e_k's
-    images, so the composition runs in C.
+    (k, g) that first reached each element e_j = e_k * g. Each step
+    composes in C: up to degree 256 an element is the bytes of its
+    images, and e_k * g is ``bytes.translate`` of e_k through g's images
+    padded to 256 bytes; above that, where a point does not fit in a
+    byte, it is the tuple of its images, and every generator's image
+    tuple is read through one ``itemgetter`` of e_k's images.
 
     For each generator h the left-multiplication map L_h (L_h[j] is the
     index of h * e_j) follows from the closure in O(n): L_h[0] is the
@@ -683,24 +705,28 @@ def build_from_permutations(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    if degree < 2:
-        # the only permutation is the identity (and itemgetter needs two
-        # indices to return a tuple)
-        return GroupTable(op=np.zeros((1, 1), dtype=_DTYPE),
-                          inv=np.zeros(1, dtype=_DTYPE), name=name)
-    ident = tuple(range(degree))
-    elems: list[tuple[int, ...]] = [ident]
+    # composer(e)(steps[g]) is e * g, the images of e mapped through g's
+    if degree <= 256:
+        ident: bytes | tuple[int, ...] = bytes(range(degree))
+        steps: list = [bytes(g.images) + bytes(256 - degree) for g in gens]
+        composer = operator.attrgetter("translate")
+    else:
+        ident = tuple(range(degree))
+        steps = [g.images for g in gens]
+
+        def composer(e):
+            return itemgetter(*e)
+    elems = [ident]
     index = {ident: 0}
     right: list[list[int]] = []
     parent: list[tuple[int, int]] = [(0, 0)]  # the identity's entry is never read
-    gen_images = [g.images for g in gens]
     head = 0
     while head < len(elems):
-        compose = itemgetter(*elems[head])
+        compose = composer(elems[head])
         head += 1
         row = []
-        for gi, gim in enumerate(gen_images):
-            nxt = compose(gim)
+        for gi, step in enumerate(steps):
+            nxt = compose(step)
             j = index.get(nxt)
             if j is None:
                 if len(elems) >= ORDER_CAP:
@@ -1073,12 +1099,21 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     """Cayley table on the cosets of a normal subgroup.
 
     Cosets are numbered by their smallest element, so the coset of the
-    identity is index 0.
+    identity is index 0. The table is filled a block of about 2^20 cells
+    at a time, the products of representatives read through
+    ``coset_of`` in place, so no index x index temporary is formed.
     """
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
     coset_of, reps = _cosets(G, N)
-    q_op = coset_of[G.op[np.ix_(reps, reps)]]
+    m = reps.size
+    q_op = np.empty((m, m), dtype=_DTYPE)
+    step = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, m, step):
+        # each line forms one block-sized temporary, freed before the next
+        block = q_op[lo:lo + step]
+        block[...] = G.op[np.ix_(reps[lo:lo + step], reps)]
+        block[...] = coset_of[block]
     q_inv = coset_of[G.inv[reps]]
     return GroupTable(op=q_op, inv=q_inv, name=f"{G.name or 'G'}/N{N.order}")
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from commprob.groups import (
     GroupTable,
+    Permutation,
+    build_from_permutations,
     conjugacy_classes,
     direct_product,
     quotient,
@@ -59,6 +61,18 @@ def central_product(
     N = subgroup_from_generators(prod, [int(za) * b.order + int(b.inv[zb])])
     coset_of, _ = cosets_by_table(prod, N.members)
     return quotient(prod, N), int(coset_of[int(za) * b.order])
+
+
+def dihedral_by_permutations(n: int) -> GroupTable:
+    """D_n closed from the permutations x -> x + 1 and x -> -x of Z_n (for
+    n = 2, two commuting transpositions of 4 points), the build whose
+    numbering ``families.dihedral_group`` keeps."""
+    if n == 2:
+        gens = [Permutation(4, (1, 0, 2, 3)), Permutation(4, (0, 1, 3, 2))]
+        return build_from_permutations(4, gens, name="D2")
+    rot = Permutation(n, tuple((i + 1) % n for i in range(n)))
+    refl = Permutation(n, tuple((n - i) % n for i in range(n)))
+    return build_from_permutations(n, [rot, refl], name=f"D{n}")
 
 
 def fingerprint(G: GroupTable) -> tuple[int, Fraction, tuple[int, ...]]:

@@ -281,8 +281,10 @@ def test_huge_degree_is_refused_before_any_list(tmp_path):
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 def test_out_of_memory_is_a_domain_error(tmp_path):
     """C_20000 is within ORDER_CAP, but its 1.5 GiB table does not fit in
-    1 GiB: the CLI prints an error line, and a survey fails that row only."""
-    done = _run_limited("pr", "--family", "cyclic", "--params", "20000", cwd=tmp_path)
+    1 GiB: ``decompose``, which reads the table, prints an error line.
+    Pr needs only the group's right maps, so a survey gives its row."""
+    done = _run_limited("decompose", "--family", "cyclic", "--params", "20000",
+                        "--subgroup", "1", cwd=tmp_path)
     assert done.returncode == 1 and done.stdout == ""
     assert "Traceback" not in done.stderr and done.stderr.startswith("error: out of memory")
 
@@ -294,7 +296,29 @@ def test_out_of_memory_is_a_domain_error(tmp_path):
     ]) + "\n")
     done = _run_limited("survey", "--catalog", str(path), cwd=tmp_path)
     assert done.returncode == 0 and "Traceback" not in done.stderr
-    assert done.stdout == "name,order,k,pr\nC3,3,3,1\nbig,,,FAILED\nC4,4,4,1\n"
+    assert done.stdout == "name,order,k,pr\nC3,3,3,1\nbig,20000,20000,1\nC4,4,4,1\n"
+
+
+def test_survey_entry_out_of_memory_is_a_failed_row(monkeypatch, tmp_path):
+    """An entry whose build runs out of memory becomes a FAILED row that
+    says so, and the survey goes on to the next entry."""
+    real_make = commprob.catalog.make
+
+    def make(spec):
+        if spec.params == (20000,):
+            raise MemoryError("Unable to allocate 1.49 GiB")
+        return real_make(spec)
+
+    monkeypatch.setattr(commprob.catalog, "make", make)
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(json.dumps(e) for e in [
+        {"name": "big", "source": "family", "family": "cyclic", "params": [20000]},
+        {"name": "C4", "source": "family", "family": "cyclic", "params": [4]},
+    ]) + "\n")
+    rows = commprob.catalog.survey(commprob.catalog.ingest(path)).rows
+    assert [(r.name, r.status) for r in rows] == [("big", "failed"), ("C4", "ok")]
+    assert rows[0].error == "entry 'big': out of memory: Unable to allocate 1.49 GiB"
+    assert (rows[1].order, rows[1].k) == (4, 4)
 
 
 def test_huge_parameters_are_refused_before_any_search(tmp_path):

@@ -17,18 +17,20 @@ from commprob.families import (
     corpus,
     cyclic_table,
     dicyclic_table,
+    dihedral_group,
     heisenberg_table,
     make,
     product_spec,
 )
 from commprob.groups import (
+    SUBGROUP_CUTOFF,
     center,
     derived_subgroup,
     is_abelian,
 )
-from commprob.probability import pr_direct
+from commprob.probability import check_bounds, pr_direct, pr_report
 
-from oracles import central_product, element_orders, fingerprint
+from oracles import central_product, dihedral_by_permutations, element_orders, fingerprint
 
 
 def test_make_examples():
@@ -87,6 +89,54 @@ def test_dicyclic_table_matches_product_rules():
                     want = (i - k + m) % (2 * m)
                 assert table.mul(x, y) == want, (m, x, y)
         assert all(table.mul(x, table.inverse(x)) == 0 for x in range(4 * m))
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 255, 256, 257, 1000])
+def test_dihedral_closed_form_is_the_permutation_build(n):
+    """The closed form of D_n numbers its elements as the permutation
+    build does: every right map, ``inv`` and the filled table match it
+    byte for byte. Degrees 256 and 257 sit on either side of the
+    closure's step from bytes to tuples."""
+    G, oracle = dihedral_group(n), dihedral_by_permutations(n)
+    maps = np.stack([G._right_map(s) for s in range(G.order)], axis=1)
+    assert "op" not in vars(G)
+    assert np.array_equal(maps, oracle.op)
+    assert G.inv.tobytes() == oracle.inv.tobytes()
+    assert G.op.dtype == np.int32 and G.op.tobytes() == oracle.op.tobytes()
+
+
+def test_closed_form_families_fill_no_table():
+    """Cyclic, dicyclic and dihedral members, and products of two, are
+    built without a table, and Pr (and the bound suite above the
+    subgroup cutoff) reads none."""
+    specs = [FamilySpec(f, (n,)) for f, ns in (("cyclic", (1, 2, 7, 250, 5000)),
+                                               ("dihedral", (2, 3, 8, 120, 1000)),
+                                               ("dicyclic", (2, 7, 300))) for n in ns]
+    specs += [product_spec(FamilySpec(*a), FamilySpec(*b)) for a, b in (
+        (("cyclic", (2,)), ("dihedral", (120,))), (("dicyclic", (3,)), ("dihedral", (5,))),
+        (("dihedral", (2,)), ("cyclic", (3,))), (("dicyclic", (25,)), ("cyclic", (4,))))]
+    for spec in specs:
+        G, _ = make(spec)
+        assert "op" not in vars(G), G.name
+        assert pr_report(G).order == G.order
+        if G.order > SUBGROUP_CUTOFF:
+            check_bounds(G)
+        assert "op" not in vars(G), G.name
+
+
+def test_pr_of_the_largest_cyclic_group_needs_no_table(capsys):
+    """``pr`` on C_20000, whose table would take 1.5 GiB, peaks under
+    64 MiB of tracemalloc."""
+    from commprob.cli import main
+
+    tracemalloc.start()
+    try:
+        code = main(["pr", "--family", "cyclic", "--params", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "1\n")
+    assert peak < 64 * 2**20
 
 
 def test_cyclic_and_dicyclic_tables_are_pinned():

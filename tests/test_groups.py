@@ -533,8 +533,11 @@ def test_direct_product_bytes_are_pinned(factors, digest):
 def test_direct_product_memory_is_one_table(factors):
     """A product is built in O(n) memory, and filling its table holds the
     int32 table and temporaries of a few MiB, with a small second factor
-    (A's rows in two blocks) and with a large one."""
+    (A's rows in two blocks) and with a large one. The factors' own
+    tables are filled first: a closed-form factor fills its table only
+    when the product's fill reads it."""
     a, b = (_family(f, p) for f, p in factors)
+    assert a.op.size and b.op.size
     tracemalloc.start()
     try:
         P = direct_product(a, b)
@@ -591,6 +594,29 @@ def test_quotient(named, normals_of):
     h2 = subgroup_from_generators(s3, [next(x for x in range(6) if element_orders(s3)[x] == 2)])
     with pytest.raises(NotNormal):
         quotient(s3, h2)
+
+
+def test_quotient_memory_is_one_table():
+    """The quotient table is gathered in blocks: S7 by its trivial center
+    holds its 97 MiB table and a few MiB more, not two index x index
+    temporaries besides. C4000 by its order-2 subgroup, in four blocks,
+    gives the table the cosets' smallest elements multiply to."""
+    S7 = make(FamilySpec("symmetric", (7,)))[0]
+    assert S7.op.size  # G's own table is filled before the count starts
+    Z = center(S7)
+    tracemalloc.start()
+    try:
+        Q = quotient(S7, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.op.tobytes() == S7.op.tobytes()
+    assert peak <= Q.op.nbytes + 8 * 2**20
+
+    C = make(FamilySpec("cyclic", (4000,)))[0]
+    Q = quotient(C, subgroup_from_members(C, [0, 2000]))
+    reps = np.arange(2000)
+    assert np.array_equal(Q.op, C.op[np.ix_(reps, reps)] % 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +796,13 @@ def _structure(G: GroupTable) -> tuple:
 
 def test_structure_is_the_same_before_and_after_the_fill(corpus64):
     """Generators, conjugation maps, classes, center and derived subgroup
-    of each member of corpus(64) built from permutations or as a product
-    are the same read off its maps as off the filled table, and reading
-    them off the maps fills no table."""
+    of each member of corpus(64) built from permutations, as a product
+    or from a closed form are the same read off its maps as off the
+    filled table, and reading them off the maps fills no table."""
     checked = 0
     for _, spec in corpus64:
         lazy, _ = make(spec)
-        if lazy.closure is None:  # a closed form: built with its table
+        if lazy.closure is None:  # extraspecial: built with its table
             continue
         before = _structure(lazy)
         assert not filled(lazy), spec.name
