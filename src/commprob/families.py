@@ -10,9 +10,10 @@ for products), and ``expected_d``, the standard minimum nonlinear
 irreducible degree.
 
 The cyclic, dicyclic and dihedral members keep their multiplication
-formula (a :class:`commprob.groups._ClosedForm`): every right map is
-one or two slices of a fixed array, and the table is filled only when
-``op`` is read. The dihedral formula keeps the numbering of the
+formula as their map source (the ``compose`` of
+:class:`commprob.groups.GroupTable`): every right map is one or two
+slices of a fixed array, and the table is filled from these maps only
+when ``op`` is read. The dihedral formula keeps the numbering of the
 permutation build of x -> x + 1 and x -> -x. Symmetric and alternating
 members are closed from permutations and also fill their table only on
 a read; extraspecial members are built with their table.
@@ -39,7 +40,6 @@ from .errors import OrderCapExceeded, UnsupportedParams
 from .groups import (
     _BLOCK_CELLS,
     _DTYPE,
-    _ClosedForm,
     _inverses,
     ORDER_CAP,
     GroupTable,
@@ -124,20 +124,12 @@ def _runs(h: int) -> np.ndarray:
 def cyclic_table(n: int) -> GroupTable:
     """Cyclic group of order n, x * y = x + y mod n.
 
-    R_s is the view ``runs[s:s + n]`` of 0..n-1 written out twice. The
-    table, filled on the first read of ``op``, is reduced in place: no
-    n^2 temporary.
+    R_s is the view ``runs[s:s + n]`` of 0..n-1 written out twice; the
+    table is filled from these maps on the first read of ``op``.
     """
     idx = np.arange(n, dtype=_DTYPE)
     runs = _runs(n)
-
-    def table() -> np.ndarray:
-        op = np.add.outer(idx, idx)
-        op %= n
-        return op
-
-    source = _ClosedForm(compose=lambda s: runs[s:s + n], table=table)
-    return GroupTable(None, (-idx) % n, name=f"C{n}", closure=source)
+    return GroupTable(None, (-idx) % n, name=f"C{n}", compose=lambda s: runs[s:s + n])
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -151,15 +143,13 @@ def dihedral_group(n: int) -> GroupTable:
     codes, O(n), gives ``order``, the native code of each element, and
     ``pos``, its inverse. A native right map is two slices of 0..n-1 and
     n..2n-1 written out twice (read backwards when s' = -1), and
-    R_s = ``pos[native_R[order]]``. The table, filled on the first read
-    of ``op``, is one such gather per row. D2 is C2 x C2 in the numbering
-    of ``direct_product``, where x * y = x xor y.
+    R_s = ``pos[native_R[order]]``; the table is filled from these maps
+    on the first read of ``op``. D2 is C2 x C2 in the numbering of
+    ``direct_product``, where x * y = x xor y.
     """
     if n == 2:
         idx = np.arange(4, dtype=_DTYPE)
-        klein = _ClosedForm(compose=lambda s: idx ^ s,
-                            table=lambda: np.bitwise_xor.outer(idx, idx))
-        return GroupTable(None, idx, name="D2", closure=klein)
+        return GroupTable(None, idx, name="D2", compose=lambda s: idx ^ s)
     order, pos = [0], [0] + [-1] * (2 * n - 1)
     for code in order:  # also visits what the loop appends
         reflects, t = divmod(code, n)  # e * (1, 1) = (s, t + 1), e * (-1, 0) = (-s, -t)
@@ -179,23 +169,9 @@ def dihedral_group(n: int) -> GroupTable:
             native = np.concatenate([runs[t:t + n], runs[2 * n + t:3 * n + t]])
         return pos_a[native[order_a]]
 
-    def table() -> np.ndarray:
-        """Row i is a gather of the native left map of e_i = (s, t):
-        (s, t)(1, u) = (s, t + u) and (s, t)(-1, u) = (-s, u - t)."""
-        op = np.empty((2 * n, 2 * n), dtype=_DTYPE)
-        for i, code in enumerate(order):
-            reflects, t = divmod(code, n)
-            if reflects:
-                native = np.concatenate([runs[2 * n + t:3 * n + t], runs[n - t:2 * n - t]])
-            else:
-                native = np.concatenate([runs[t:t + n], runs[3 * n - t:4 * n - t]])
-            op[i] = pos_a[native[order_a]]
-        return op
-
     # (1, t)^-1 = (1, -t), and every (-1, t) is an involution
     inv = pos_a[np.where(order_a < n, -order_a % n, order_a)]
-    source = _ClosedForm(compose=compose, table=table)
-    return GroupTable(None, inv, name=f"D{n}", closure=source)
+    return GroupTable(None, inv, name=f"D{n}", compose=compose)
 
 
 def symmetric_group(n: int) -> GroupTable:
@@ -223,8 +199,8 @@ def dicyclic_table(m: int) -> GroupTable:
     a^i b^j * a^k b^l = a^(i + (-1)^j k + m j l) b^(j + l mod 2), from
     b a^k = a^-k b and b^2 = a^m. So R_s for s = a^k b^l is two slices
     put together: a^(i+k) b^l on the j = 0 half and a^(i-k+ml) b^(1+l)
-    on the j = 1 half. The table, filled on the first read of ``op``, is
-    filled in place, with no n^2 temporary.
+    on the j = 1 half. The table is filled from these maps on the first
+    read of ``op``.
     """
     two_m = 2 * m
     a = np.arange(two_m, dtype=_DTYPE)
@@ -236,22 +212,9 @@ def dicyclic_table(m: int) -> GroupTable:
         shift = 2 * two_m * l + k
         return np.concatenate([runs[shift:shift + two_m], runs[lo:lo + two_m]])
 
-    def table() -> np.ndarray:
-        # rows from 2m on have j = 1, and columns from 2m on have l = 1
-        a_exp = np.concatenate([a, a])
-        sign = np.repeat(np.array([1, -1], dtype=_DTYPE), two_m)
-        op = np.multiply.outer(sign, a_exp)
-        op += a_exp[:, None]
-        op[two_m:, two_m:] += m
-        op %= two_m
-        op[:two_m, two_m:] += two_m
-        op[two_m:, :two_m] += two_m
-        return op
-
     # (a^i)^-1 = a^-i and (a^i b)^-1 = a^(i+m) b
     inv = np.concatenate([-a % two_m, (a + m) % two_m + two_m])
-    source = _ClosedForm(compose=compose, table=table)
-    return GroupTable(None, inv, name=f"Dic{m}", closure=source)
+    return GroupTable(None, inv, name=f"Dic{m}", compose=compose)
 
 
 def heisenberg_table(p: int, s: int) -> GroupTable:

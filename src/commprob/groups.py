@@ -18,17 +18,17 @@ s, t in S, and a subset closed under every map is normal.
 These routines read no n x n table: they need the right-multiplication
 map x -> xs of a few elements s (``GroupTable._right_map``, the one
 place that knows how a product is formed) and ``inv``, O(r n) ints; each
-generator's map is formed once per group. Three map sources form them
-without a table: a group built from permutations keeps its closure's
-generator maps and composes the map of any s along the breadth-first
-word of s (``_Closure``); a direct product keeps its factors and forms
-the map of (x, y) from theirs (``_Product``); and the cyclic, dicyclic
-and dihedral families form the map of s from their multiplication
-formula, as a few slices of one array (``_ClosedForm``). Each fills its
-group's table only when a routine first reads ``op`` (subgroup
-enumeration, subgroup tables, quotients, pair counts). Only Cayley
-input, quotients, subgroup tables and the extraspecial family are
-built with their table, and read the maps off it.
+generator's map is formed once per group. A group without a table has a
+map source instead, one ``compose(s) -> R_s`` function: a group built
+from permutations composes its closure's generator maps along the
+breadth-first word of s; a direct product adds its factors' maps; the
+cyclic, dicyclic and dihedral families take a few slices of one array;
+a quotient reads the map of a coset representative through the coset
+numbering; and a subgroup table reads the map of a member through the
+members' places. One fill (``_fill``) turns any source into the table,
+only when a routine first reads ``op`` (subgroup enumeration, pair
+counts). Only Cayley input and the extraspecial family are built with
+their table, and read the maps off it.
 
 Every subgroup is generated by one breadth-first pass over the right
 multiplication maps of its generators, never from all products of pairs.
@@ -114,15 +114,14 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 class _Table:
     """The ``op`` field of :class:`GroupTable` when no table was given: the
-    first read fills it from the group's map source (a :class:`_Closure`,
-    a :class:`_Product` or a :class:`_ClosedForm`) and keeps it in the
-    instance, where later reads find it first (a non-data descriptor, as
-    ``functools.cached_property``)."""
+    first read fills it from the group's map source (see :func:`_fill`)
+    and keeps it in the instance, where later reads find it first (a
+    non-data descriptor, as ``functools.cached_property``)."""
 
     def __get__(self, G, owner=None) -> np.ndarray:
         if G is None:
             raise AttributeError("op")  # a required dataclass field: no default
-        op = vars(G)["op"] = G.closure.table()
+        op = vars(G)["op"] = _fill(G)
         op.setflags(write=False)
         return op
 
@@ -131,16 +130,14 @@ class _Table:
 class GroupTable:
     """A finite group: ``op[x, y]`` is the product xy, ``inv[x]`` the inverse.
 
-    A group built from permutations, as a direct product or as a cyclic,
-    dicyclic or dihedral family member holds a map source (``closure``: a
-    :class:`_Closure` of the permutations' maps, a :class:`_Product` of
-    the two factors, or a :class:`_ClosedForm` of the family's formula)
+    A group built from permutations, as a direct product, a quotient, a
+    subgroup table or a cyclic, dicyclic or dihedral family member holds
+    a map source, ``compose(s)``, the right map x -> xs of any element s,
     and is given ``op=None``: it fills ``op`` from that source on first
-    read. Cayley input, quotients, subgroup tables and the extraspecial
-    family hand ``op`` over. ``order``, ``generators``,
-    ``conjugation`` and the orbit-method routines read no table that is
-    not filled yet; they take right-multiplication maps from
-    :meth:`_right_map`.
+    read (see :func:`_fill`). Cayley input and the extraspecial family
+    hand ``op`` over. ``order``, ``generators``, ``conjugation`` and the
+    orbit-method routines read no table that is not filled yet; they take
+    right-multiplication maps from :meth:`_right_map`.
 
     ``validation`` records how associativity was established: "full"
     (a Cayley table checked by Light's test, exact at every order) or
@@ -148,7 +145,7 @@ class GroupTable:
     construction).
     """
 
-    closure: _Closure | _Product | _ClosedForm | None = field(
+    compose: Callable[[int], np.ndarray] | None = field(
         default=None, repr=False, kw_only=True)
     op: np.ndarray = _Table()
     inv: np.ndarray
@@ -158,8 +155,8 @@ class GroupTable:
     def __post_init__(self):
         if self.op is not None:
             self.op.setflags(write=False)
-        elif self.closure is None:
-            raise ValueError("a group needs its table or the closure or product that fills it")
+        elif self.compose is None:
+            raise ValueError("a group needs its table or the compose function that fills it")
         else:
             del vars(self)["op"]  # the first read fills it
         self.inv.setflags(write=False)
@@ -187,11 +184,9 @@ class GroupTable:
 
     def _right_map(self, s: int) -> np.ndarray:
         """R_s, the map x -> xs, of any element s: column s of the table
-        when it is filled, else composed by the map source (see
-        :meth:`_Closure.compose`, :meth:`_Product.compose` and
-        :class:`_ClosedForm`)."""
+        when it is filled, else formed by the map source, ``compose``."""
         op = vars(self).get("op")
-        return self.closure.compose(s) if op is None else op[:, s]
+        return self.compose(s) if op is None else op[:, s]
 
     @cached_property
     def _generator_maps(self) -> dict[int, np.ndarray]:
@@ -226,101 +221,30 @@ class GroupTable:
         return maps
 
 
-@dataclass(frozen=True, eq=False)
-class _Closure:
-    """What closing permutations into a group computes, O(r n) ints.
-
-    ``parent[j] = (k, g)``: e_j was first reached as e_k times the g-th
-    generator, so the parents from j back to 0 spell e_j as a word in
-    the generators, its breadth-first word. ``right[g]`` is the g-th
-    generator's right map, x -> x g (index k to index of e_k g).
-    ``left[h]`` is the left map L_h, x -> h x, of each generator h that
-    reached an element; only :meth:`table` reads it.
-    """
-
-    parent: list[tuple[int, int]]
-    right: np.ndarray
-    left: dict[int, np.ndarray]
-
-    def compose(self, s: int) -> np.ndarray:
-        """R_s: ``right[g_1]``, ..., ``right[g_m]`` applied in turn, for the
-        word e_s = g_1 ... g_m. O(n) per letter."""
-        word = []
-        while s:
-            s, g = self.parent[s]
-            word.append(g)
-        if not word:
-            return np.arange(len(self.parent))
-        out = self.right[word.pop()]
-        while word:
-            out = self.right[word.pop()][out]
-        return out
-
-    def table(self) -> np.ndarray:
-        """The n x n table, a contiguous row at a time: for e_i = e_k h,
-        e_i e_j = e_k (h e_j), so row i is row k gathered through L_h.
-        Row k comes before row i, and no n^2 temporary is formed."""
-        n = len(self.parent)
-        op = np.empty((n, n), dtype=_DTYPE)
-        op[0] = np.arange(n, dtype=_DTYPE)
-        for i in range(1, n):
-            k, h = self.parent[i]
-            # indices are in range; "clip" skips the buffered copy of "raise"
-            op[k].take(self.left[h], out=op[i], mode="clip")
-        return op
-
-
-@dataclass(frozen=True, eq=False)
-class _Product:
-    """The factors of a direct product A x B, whose element x*|B| + y is
-    the pair (x, y): the product's maps are formed from theirs, O(n) each,
-    and its table only when :meth:`table` is called."""
-
-    a: GroupTable
-    b: GroupTable
-
-    def compose(self, s: int) -> np.ndarray:
-        """R_s for s = x*|B| + y: (u, v)(x, y) = (ux, vy), so R_s is R_x
-        scaled by |B| with each value repeated |B| times, plus R_y tiled
-        |A| times, one outer add of the factors' right maps."""
-        nb = self.b.order
-        x, y = divmod(s, nb)
-        return np.add.outer(self.a._right_map(x) * nb, self.b._right_map(y)).ravel()
-
-    def table(self) -> np.ndarray:
-        """The n x n table. Row x*|B| + y is A's row x, scaled by |B| with
-        each value repeated |B| times, plus B's row y tiled |A| times. The
-        first |B| rows (x = 0) are one broadcast of B's table; every later
-        block of A's rows is one add of the scaled differences a[x] - a[0],
-        repeated, onto those first rows, so the add runs over contiguous
-        stretches a whole row long, not |B| (2 for a product with C2). The
-        only temporaries are those differences, at most ``_BLOCK_CELLS``
-        cells; no n^2 array is formed besides the table."""
-        a, b = self.a, self.b
-        na, nb = a.order, b.order
-        n = na * nb
-        op = np.empty((n, n), dtype=_DTYPE)
-        first = op[:nb]
-        a0 = a.op[0].astype(_DTYPE)
-        np.add((a0 * nb)[None, :, None], b.op[:, None, :], out=first.reshape(nb, na, nb))
-        step = max(1, _BLOCK_CELLS // n)  # rows of A per block
-        for lo in range(1, na, step):
-            delta = np.repeat((a.op[lo:lo + step] - a0) * nb, nb, axis=1)
-            np.add(first, delta[:, None, :],
-                   out=op[lo * nb:(lo + step) * nb].reshape(-1, nb, n))
-            del delta  # before the next block's is formed
-        return op
-
-
-@dataclass(frozen=True, eq=False)
-class _ClosedForm:
-    """A family's multiplication formula, in the numbering its builder
-    fixes (see :mod:`commprob.families`): ``compose(s)`` gives R_s, a few
-    slices of one array at about the cost of a column read, and
-    ``table()`` the n x n table."""
-
-    compose: Callable[[int], np.ndarray]
-    table: Callable[[], np.ndarray]
+def _fill(G: GroupTable) -> np.ndarray:
+    """The n x n table of a group from its right maps, a contiguous row at
+    a time. A breadth-first walk from the identity over the generators'
+    right maps reaches each new element as e_i = e_k h, h a generator;
+    then e_i e_j = e_k (h e_j), so row i is row k, filled before it,
+    gathered through the left map L_h. hx = (x^-1 h^-1)^-1, so L_h is
+    ``inv[R[inv]]`` for the right map R of h^-1. No n^2 temporary is
+    formed, and any source gives the same bytes for the same numbering."""
+    n, inv = G.order, G.inv
+    op = np.empty((n, n), dtype=_DTYPE)
+    op[0] = np.arange(n, dtype=_DTYPE)
+    steps = [(R.tolist(), inv[G._right_map(int(inv[h]))[inv]].astype(np.intp))
+             for h, R in G._generator_maps.items()]  # take's index type: no cast per row
+    seen = [True] + [False] * (n - 1)
+    reached = [0]
+    for k in reached:  # also visits what the loop appends
+        for right, left in steps:
+            i = right[k]
+            if not seen[i]:
+                seen[i] = True
+                reached.append(i)
+                # indices are in range; "clip" skips the buffered copy of "raise"
+                op[k].take(left, out=op[i], mode="clip")
+    return op
 
 
 @dataclass(frozen=True, eq=False)
@@ -688,17 +612,19 @@ def build_from_permutations(
     byte, it is the tuple of its images, and every generator's image
     tuple is read through one ``itemgetter`` of e_k's images.
 
-    For each generator h the left-multiplication map L_h (L_h[j] is the
-    index of h * e_j) follows from the closure in O(n): L_h[0] is the
-    index of h, and h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g].
-    The identity of row k of the table sits at inv[k], and for
-    e_i = e_k * h, e_i * e_j = e_k * (h * e_j), so the identity of row i
-    sits at L_h^-1[inv[k]]: the inverses cost O(n), with no search.
+    The inverses cost O(n), with no search: for each generator h the
+    left-multiplication map L_h (L_h[j] is the index of h * e_j) follows
+    from the closure, since L_h[0] is the index of h and
+    h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g]. The identity
+    of row k of the table sits at inv[k], and for e_i = e_k * h,
+    e_i * e_j = e_k * (h * e_j), so the identity of row i sits at
+    L_h^-1[inv[k]]. The left maps are dropped once ``inv`` is known.
 
-    The group keeps these maps, O(r n) ints, and fills its n x n table
-    from them only when ``op`` is first read (see :class:`_Closure`);
-    classes, the center, the derived subgroup and normal closures never
-    read it. The filled table's bytes do not depend on when it is read.
+    The group keeps the right maps and the breadth-first words, O(r n)
+    ints: the right map of e_s is the generators' maps composed along
+    the word of e_s, O(n) per letter. It fills its n x n table only when
+    ``op`` is first read (see :func:`_fill`); classes, the center, the
+    derived subgroup and normal closures never read it.
     """
     _check_degree(degree)
     gens = list(generators)
@@ -740,36 +666,48 @@ def build_from_permutations(
         right.append(row)
     n = len(elems)
     del elems, index  # only the maps outlive the closure
-    left, left_inv = {}, {}
+    left_inv = {}
     for h in {h for _, h in parent[1:]}:
         lh = [0] * n
         lh[0] = right[0][h]  # h * e_0 = h
         for j in range(1, n):
             k, g = parent[j]
             lh[j] = right[lh[k]][g]
-        left[h] = np.array(lh, dtype=np.intp)  # take's index type: no cast per row
         inverse = np.empty(n, dtype=np.intp)
-        inverse[left[h]] = np.arange(n)
+        inverse[lh] = np.arange(n)
         left_inv[h] = inverse.tolist()
     inv = [0] * n
     for i in range(1, n):
         k, h = parent[i]
         inv[i] = left_inv[h][inv[k]]
     maps = np.array(right, dtype=np.intp).reshape(n, len(gens)).T.copy()
-    for m in (maps, *left.values()):
-        m.setflags(write=False)  # compose hands them out as they are
-    closure = _Closure(parent=parent, right=maps, left=left)
-    return GroupTable(None, np.array(inv, dtype=_DTYPE), name=name, closure=closure)
+    maps.setflags(write=False)  # compose hands its rows out as they are
+
+    def compose(s: int) -> np.ndarray:
+        """``maps[g_1]``, ..., ``maps[g_m]`` applied in turn, for the word
+        e_s = g_1 ... g_m that the parents spell from s back to 0."""
+        word = []
+        while s:
+            s, g = parent[s]
+            word.append(g)
+        if not word:
+            return np.arange(n)
+        out = maps[word.pop()]
+        while word:
+            out = maps[word.pop()][out]
+        return out
+
+    return GroupTable(None, np.array(inv, dtype=_DTYPE), name=name, compose=compose)
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Componentwise product on index pairs, packed as ``i = x*|B| + y``.
 
-    The product keeps its factors (a :class:`_Product`) and ``inv``, O(n),
-    and fills no factor table: a right map is an outer add of the
-    factors' right maps, and the n x n table is filled from the factors'
-    tables on the first read of ``op``, with the same bytes whenever it
-    is read.
+    The product keeps its factors and ``inv``, O(n), and fills no factor
+    table: (u, v)(x, y) = (ux, vy), so the right map of x*|B| + y is R_x
+    scaled by |B| with each value repeated |B| times, plus R_y tiled |A|
+    times, one outer add of the factors' right maps. Its own table is
+    filled from these maps on the first read of ``op`` (see :func:`_fill`).
     """
     na, nb = a.order, b.order
     n = na * nb
@@ -777,7 +715,12 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
         raise OrderCapExceeded(f"product order {n} exceeds cap {ORDER_CAP}")
     inv = (a.inv[:, None].astype(_DTYPE) * nb + b.inv[None, :]).reshape(n)
     name = f"{a.name or 'A'}x{b.name or 'B'}"
-    return GroupTable(None, inv, name=name, closure=_Product(a, b))
+
+    def compose(s: int) -> np.ndarray:
+        x, y = divmod(s, nb)
+        return np.add.outer(a._right_map(x) * nb, b._right_map(y)).ravel()
+
+    return GroupTable(None, inv, name=name, compose=compose)
 
 
 # ---------------------------------------------------------------------------
@@ -881,13 +824,20 @@ def _check_parent(G: GroupTable, H: Subgroup) -> None:
 
 
 def subgroup_table(G: GroupTable, sub: Subgroup) -> GroupTable:
-    """The member set of ``sub`` as a group in its own right (identity first)."""
+    """The member set of ``sub`` as a group in its own right (identity
+    first), numbered by the members' order. Its right map of member s is
+    G's right map of s read at the members and renumbered by their places,
+    so G's table is not read, and the subgroup's own table is only filled
+    when its ``op`` is read (see :func:`_fill`)."""
     _check_parent(G, sub)
     members = np.asarray(sub.members, dtype=_DTYPE)
     pos = np.cumsum(sub.mask, dtype=_DTYPE) - 1  # a member's place among them
-    op = pos[G.op[np.ix_(members, members)]]
+
+    def compose(s: int) -> np.ndarray:
+        return pos[G._right_map(int(members[s]))[members]]
+
     inv = pos[G.inv[members]]
-    return GroupTable(op=op, inv=inv, name=f"{G.name}|sub{len(members)}")
+    return GroupTable(None, inv, name=f"{G.name}|sub{len(members)}", compose=compose)
 
 
 def _orbits(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1099,23 +1049,20 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     """Cayley table on the cosets of a normal subgroup.
 
     Cosets are numbered by their smallest element, so the coset of the
-    identity is index 0. The table is filled a block of about 2^20 cells
-    at a time, the products of representatives read through
-    ``coset_of`` in place, so no index x index temporary is formed.
+    identity is index 0. The right map of coset s is G's right map of its
+    representative read at the representatives, through ``coset_of``, so
+    G's table is not read, and the quotient's own table is only filled
+    when its ``op`` is read (see :func:`_fill`).
     """
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
     coset_of, reps = _cosets(G, N)
-    m = reps.size
-    q_op = np.empty((m, m), dtype=_DTYPE)
-    step = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, m, step):
-        # each line forms one block-sized temporary, freed before the next
-        block = q_op[lo:lo + step]
-        block[...] = G.op[np.ix_(reps[lo:lo + step], reps)]
-        block[...] = coset_of[block]
+
+    def compose(s: int) -> np.ndarray:
+        return coset_of[G._right_map(int(reps[s]))[reps]]
+
     q_inv = coset_of[G.inv[reps]]
-    return GroupTable(op=q_op, inv=q_inv, name=f"{G.name or 'G'}/N{N.order}")
+    return GroupTable(None, q_inv, name=f"{G.name or 'G'}/N{N.order}", compose=compose)
 
 
 def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:

@@ -115,8 +115,8 @@ def naive_permutation_table(degree: int, gens) -> list[list[int]]:
 
 
 def filled(G: GroupTable) -> bool:
-    """Whether G's table exists: given to it, or filled from its closure
-    by a read of ``op``."""
+    """Whether G's table exists: given to it, or filled from its map
+    source by a read of ``op``."""
     return "op" in vars(G)
 
 
@@ -533,11 +533,9 @@ def test_direct_product_bytes_are_pinned(factors, digest):
 def test_direct_product_memory_is_one_table(factors):
     """A product is built in O(n) memory, and filling its table holds the
     int32 table and temporaries of a few MiB, with a small second factor
-    (A's rows in two blocks) and with a large one. The factors' own
-    tables are filled first: a closed-form factor fills its table only
-    when the product's fill reads it."""
+    and with a large one. The fill reads only the factors' right maps,
+    so neither factor fills its own table."""
     a, b = (_family(f, p) for f, p in factors)
-    assert a.op.size and b.op.size
     tracemalloc.start()
     try:
         P = direct_product(a, b)
@@ -546,6 +544,7 @@ def test_direct_product_memory_is_one_table(factors):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert not filled(a) and not filled(b)
     assert P.order == a.order * b.order
     assert built < 2**20
     assert peak <= P.op.nbytes + 8 * 2**20
@@ -597,21 +596,22 @@ def test_quotient(named, normals_of):
 
 
 def test_quotient_memory_is_one_table():
-    """The quotient table is gathered in blocks: S7 by its trivial center
-    holds its 97 MiB table and a few MiB more, not two index x index
-    temporaries besides. C4000 by its order-2 subgroup, in four blocks,
-    gives the table the cosets' smallest elements multiply to."""
+    """The quotient table is filled from the quotient's own maps: S7 by
+    its trivial center holds its 97 MiB table and a few MiB more, and
+    S7's table is never filled. C4000 by its order-2 subgroup gives the
+    table the cosets' smallest elements multiply to."""
     S7 = make(FamilySpec("symmetric", (7,)))[0]
-    assert S7.op.size  # G's own table is filled before the count starts
     Z = center(S7)
     tracemalloc.start()
     try:
         Q = quotient(S7, Z)
+        assert Q.op.shape == (S7.order, S7.order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert Q.op.tobytes() == S7.op.tobytes()
+    assert not filled(S7)
     assert peak <= Q.op.nbytes + 8 * 2**20
+    assert Q.op.tobytes() == S7.op.tobytes()
 
     C = make(FamilySpec("cyclic", (4000,)))[0]
     Q = quotient(C, subgroup_from_members(C, [0, 2000]))
@@ -802,7 +802,7 @@ def test_structure_is_the_same_before_and_after_the_fill(corpus64):
     checked = 0
     for _, spec in corpus64:
         lazy, _ = make(spec)
-        if lazy.closure is None:  # extraspecial: built with its table
+        if lazy.compose is None:  # extraspecial: built with its table
             continue
         before = _structure(lazy)
         assert not filled(lazy), spec.name
@@ -813,6 +813,61 @@ def test_structure_is_the_same_before_and_after_the_fill(corpus64):
     assert checked >= 343  # 37 permutation groups and 306 products
 
 
+def _assert_fill_agrees(G: GroupTable, fresh: GroupTable) -> None:
+    """Column s of G's filled table is the right map that the map source
+    of ``fresh``, an unfilled copy of G, composes for s, and x x^-1 = 1."""
+    assert not filled(fresh), G.name
+    for s in range(G.order):
+        assert np.array_equal(G.op[:, s], fresh._right_map(s)), (G.name, s)
+    assert not filled(fresh), G.name
+    assert (G.op[np.arange(G.order), G.inv] == 0).all(), G.name
+
+
+def test_the_fill_agrees_with_compose_for_every_source(corpus64):
+    """The one fill gives the table that every map source composes: each
+    member of corpus(64) built without its table, and the quotients by
+    the center and by G' and the subgroup table of G' of each nonabelian
+    member of corpus(32). Filling a quotient or a subgroup table reads
+    no table of G."""
+    checked = 0
+    for _, spec in corpus64:
+        G = make(spec)[0]
+        if G.compose is not None:  # not extraspecial: built without its table
+            _assert_fill_agrees(G, make(spec)[0])
+            checked += 1
+    assert checked == 422
+    derived = 0
+    for table, spec in corpus64:
+        if table.order > 32 or is_abelian(table):
+            continue
+        G = make(spec)[0]
+        for build in (lambda: quotient(G, center(G)),
+                      lambda: quotient(G, derived_subgroup(G)),
+                      lambda: subgroup_table(G, derived_subgroup(G))):
+            _assert_fill_agrees(build(), build())
+        assert filled(G) == (G.compose is None), spec.name
+        derived += 1
+    assert derived == 75
+
+
+def test_quotient_and_subgroup_table_of_s7_fill_no_table():
+    """S7/A7 and the subgroup table of A7 in S7, with its classes, each
+    stay far below S7's 97 MiB table, which is never filled."""
+    S7 = make(FamilySpec("symmetric", (7,)))[0]
+    A7 = derived_subgroup(S7)
+    for build, check in [(lambda: quotient(S7, A7), lambda Q: Q.op.shape == (2, 2)),
+                         (lambda: subgroup_table(S7, A7),
+                          lambda H: conjugacy_classes(H).count == 9)]:
+        tracemalloc.start()
+        try:
+            assert check(build())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+    assert not filled(S7)
+
+
 @pytest.mark.parametrize("spec", [FamilySpec("symmetric", (5,)),
                                   product_spec(FamilySpec("alternating", (5,)),
                                                FamilySpec("symmetric", (4,)))],
@@ -820,7 +875,7 @@ def test_structure_is_the_same_before_and_after_the_fill(corpus64):
 def test_renamed_group_keeps_its_table_unfilled(spec):
     G, _ = make(spec)
     R = G.renamed("S")
-    assert (R.name, R.order, R.closure) == ("S", G.order, G.closure)
+    assert (R.name, R.order, R.compose) == ("S", G.order, G.compose)
     assert not filled(R) and not filled(G)
     assert np.array_equal(R.op, G.op)
     assert G.renamed("T").op is G.op  # a filled table is shared
