@@ -42,10 +42,13 @@ the right maps of N's generators. A normal subgroup is a union of
 classes, so the conjugation orbit count on it and the normal core of a
 subgroup are read off the class partition.
 
-The same greedy generators validate a Cayley table exactly, at every
-order: associativity by Light's test, (xs)y = x(sy) for each generator s
-only (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
-in O(n^2 log n) time, and inverses are found a block of rows at a time.
+The same greedy picks validate a Cayley table exactly, at every order:
+associativity by Light's test, (xs)y = x(sy) for each pick s only
+(Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961), in
+O(n^2 log n) time. Picks that pass and reach every element, with the
+identity in every row, prove a group, whose rows and columns are then
+permutations; the Latin check runs only on a table refused, to name the
+first bad cell. Inverses are found a block of rows at a time.
 A member set is a subgroup when the same closure, started from its
 members, reaches nothing else; structural operations take only such a
 ``Subgroup``.
@@ -394,188 +397,74 @@ def format_cycles(perm: Permutation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_associativity(op: np.ndarray) -> None:
-    """Light's associativity test on the greedy generators of ``op``.
-
-    The elements a with (xa)y = x(ay) for all x, y are closed under the
-    product, so the table is associative as soon as they include a
-    generating set (Clifford & Preston, *The Algebraic Theory of
-    Semigroups* I, 1961, section 1.2). Each greedy pick s is checked as it
-    comes, comparing (xs)y with x(sy) a block of rows at a time. While
-    the checks pass, the picks so far generate a finite cancellative
-    monoid, which is a group, and each new pick at least doubles it: at
-    most floor(log2 n) + 1 picks are checked, O(n^2 log n) time at any
-    order, on groups and non-groups alike. Raises ``NotAssociative`` at
-    the first (x, s, y) with (xs)y != x(sy).
-
-    ``op`` must be a Latin square with identity 0.
-    """
-    n = op.shape[0]
-    step = max(1, _BLOCK_CELLS // n)
-    for s, _ in _greedy(n, lambda s: op[:, s]):
-        for lo in range(0, n, step):
-            rows = op[lo:lo + step]
-            left = op[rows[:, s]]  # (xs)y
-            right = rows[:, op[s]]  # x(sy)
-            if not np.array_equal(left, right):
-                x, y = (int(v) for v in np.argwhere(left != right)[0])
-                x += lo
-                raise NotAssociative(
-                    f"(x*y)*z != x*(y*z) at (x,y,z)=({x},{s},{y})", cell=(x, s, y)
-                )
-            del left, right  # before the next pair is formed
-
-
-def _inverses(op: np.ndarray) -> np.ndarray:
-    """``inv[x]`` is the y with xy = 0 (the identity), for a table whose
-    rows are permutations. Rows are searched a block of about 2^20 cells
-    at a time, so no n^2 temporary is formed."""
-    n = op.shape[0]
-    step = max(1, _BLOCK_CELLS // n)
-    inv = np.empty(n, dtype=_DTYPE)
+def _check_pick(op: np.ndarray, s: int, buffers: list[np.ndarray]) -> None:
+    """Compare (xs)y with x(sy) for all x, y, a block of rows at a time
+    gathered into ``buffers`` (two blocks of rows); raise ``NotAssociative``
+    at the first (x, s, y), in row order, where they differ."""
+    n, step = op.shape[0], len(buffers[0])
     for lo in range(0, n, step):
-        inv[lo:lo + step] = np.argmax(op[lo:lo + step] == 0, axis=1)
-    return inv
+        rows = op[lo:lo + step]
+        left, right = (b[:len(rows)] for b in buffers)
+        # indices are in range; "clip" skips the buffered copy of "raise"
+        np.take(op, rows[:, s], axis=0, out=left, mode="clip")  # (xs)y
+        np.take(rows, op[s], axis=1, out=right, mode="clip")  # x(sy)
+        if not np.array_equal(left, right):
+            x, y = (int(v) for v in np.argwhere(left != right)[0])
+            x += lo
+            raise NotAssociative(
+                f"(x*y)*z != x*(y*z) at (x,y,z)=({x},{s},{y})", cell=(x, s, y)
+            )
 
 
-_JSON_SPACE = " \t\n\r"
-_TABLE_BYTES = b"0123456789,[]"
-_COMMA = ord(",")
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-_INT64_MAX = int(np.iinfo(np.int64).max)
+def _check_associativity(op: np.ndarray) -> bool:
+    """Light's associativity test on the greedy picks of ``op``, a table
+    with identity 0: whether the checked picks reach every element.
 
+    In any magma with an identity, the elements a with (xa)y = x(ay) for
+    all x, y are closed under the product (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, section 1.2), so the table
+    is associative once every element is reached from 0 by right
+    multiplication with checked picks; no Latin property is needed.
+    Each pick is the smallest element not reached yet, and is compared
+    by :func:`_check_pick` after it extends the reached set; that raises
+    ``NotAssociative`` at the first (x, s, y) with (xs)y != x(sy).
 
-def table_from_json(text: str) -> np.ndarray | None:
-    """``np.asarray(json.loads(text))`` for the JSON text of a square table
-    of non-negative integers, read without a Python int per cell; None
-    for any text that this reader cannot prove ``json.loads`` decodes to
-    the same int64 array.
-
-    Accepted are the compact ``[[0,1],[1,0]]`` and the ``json.dumps``
-    default ``[[0, 1], [1, 0]]`` spellings, with JSON whitespace around
-    the whole. Any other whitespace, a sign, a fraction, an exponent, a
-    boolean, a leading zero, an empty or ragged row, a value that does
-    not fit in int64 or a non-ASCII character gives None, and the caller
-    decodes the text with ``json.loads``. The structure is proved with a
-    few byte passes; then one ``np.fromstring`` parses all n^2 values.
-
-    Raises ``OrderCapExceeded`` for more than ``ORDER_CAP`` rows, from
-    the row count, before any n^2 array exists.
+    The reached set is read off the flags that :func:`_extend` sets,
+    which are exact on any table, where the count of what it returns is
+    not once Hs meets H. A group is generated by at most floor(log2 n)
+    greedy picks, each at least doubling the subgroup before it, so at
+    most floor(log2 n) + 1 picks are compared: O(n^2 log n) time at any
+    order, on groups and non-groups alike.
     """
-    text = text.strip(_JSON_SPACE)
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    del text  # often the only reference: a copy of the table's text
-    if b" " in raw:  # one byte: a memchr, not a substring search
-        # whitespace between tokens is insignificant; after this only
-        # digits, commas and brackets may remain
-        raw = raw.replace(b", ", b",")
-    if raw.translate(None, _TABLE_BYTES) or not (
-        raw.startswith(b"[[") and raw.endswith(b"]]")
-    ):
-        return None
-    n = raw.count(b"],[") + 1
-    if n > ORDER_CAP:
-        raise OrderCapExceeded(f"table of {n} rows exceeds the cap of {ORDER_CAP}")
-    if raw.count(b"[") != n + 1:
-        return None
-    # Row r runs from ``start`` to the first "]" after it; it must hold n
-    # values, not begin or end with a comma, and be followed by "],[" or,
-    # for the last row, by the final "]]". With the count of "[" above,
-    # the text is "[[" row "],[" row ... "]]" and no row holds a bracket.
-    start = 2
-    for r in range(n):
-        end = raw.index(b"]", start)
-        if (
-            end == start
-            or raw[start] == _COMMA
-            or raw[end - 1] == _COMMA
-            or raw.count(b",", start, end) != n - 1
-            or raw[end + 1:end + 3] != (b",[" if r < n - 1 else b"]")
-        ):
-            return None
-        start = end + 3
-    comma = np.frombuffer(raw, dtype=np.uint8) == _COMMA
-    if (comma[1:] & comma[:-1]).any():
-        return None
-    del comma
-    # Now the text holds exactly n^2 runs of digits. That must be proved
-    # first: given a count, np.fromstring makes up values it cannot read,
-    # and without one, numpy < 2 returns what it read so far from
-    # malformed text. It also clamps values past int64 to its maximum.
-    raw = raw.translate(_BRACKETS_TO_SPACES)
-    values = np.fromstring(raw, dtype=np.int64, count=n * n, sep=",")
-    if values.size != n * n:
-        return None
-    top = int(values.max())
-    if top == _INT64_MAX:
-        return None
-    # np.fromstring reads "01" as 1: the digits in the text, all bytes but
-    # the n^2 - 1 commas and 2n + 2 brackets, must number exactly the
-    # decimal digits of the values
-    digits = len(raw) - (n * n - 1) - 2 * (n + 1)
-    if digits != values.size + sum(
-        np.count_nonzero(values >= 10**k) for k in range(1, len(str(top)))
-    ):
-        return None
-    return values.reshape(n, n)
-
-
-def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> GroupTable:
-    """Validate a square multiplication table and wrap it as a group.
-
-    The identity is relabeled to index 0 if necessary (labels 0 and e
-    swap; the cells that later errors name use this numbering). Raises
-    ``OrderCapExceeded`` above ``ORDER_CAP`` rows, and
-    ``NotClosed`` / ``NoIdentity`` / ``NotLatinSquare`` / ``NotAssociative``,
-    each naming the first violating cell. Entries must be integers:
-    floats and booleans raise ``NotClosed`` instead of being truncated.
-
-    Associativity is exact at every order (Light's test, see
-    :func:`_check_associativity`), and every table that passes is
-    ``validation == "full"``. No inverse check follows it: an
-    associative table with identity whose rows are permutations is a
-    monoid in which every element has a right inverse, hence a group, so
-    each one-sided inverse is two-sided.
-    """
-    op = np.asarray(table)
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
-        raise NotClosed(f"table must be square and nonempty, got shape {op.shape}")
     n = op.shape[0]
-    if n > ORDER_CAP:
-        raise OrderCapExceeded(f"table of {n} rows exceeds the cap of {ORDER_CAP}")
-    if op.dtype.kind not in "iu":
-        raise NotClosed(f"table entries must be integers, got {op.dtype}")
+    # the blocks (xs)y and x(sy) of every pick: memory used once is
+    # filled again, with no fresh pages to fault in. Two arrays, each at
+    # most the table's size, not one of twice it: in a process that builds
+    # several order-720 tables, one such block left about 3 MB more
+    # memory resident after it was freed.
+    step = min(n, max(1, _BLOCK_CELLS // n))
+    buffers = [np.empty((step, n), dtype=op.dtype) for _ in range(2)]
+    seen = [True] + [False] * (n - 1)
+    right: list[list[int]] = []
+    s = 0
+    for _ in range(n.bit_length()):
+        if False not in seen:
+            break
+        s = seen.index(False, s)
+        right.append(op[:, s].tolist())
+        _extend(right, seen)
+        _check_pick(op, s, buffers)
+    return False not in seen
 
-    bad = (op < 0) | (op >= n)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NotClosed(
-            f"cell ({i},{j}) holds {int(op[i, j])}, outside [0,{n})", cell=(i, j)
-        )
-    op = op.astype(_DTYPE)
 
-    idx = np.arange(n, dtype=_DTYPE)
-    row_ok = (op == idx[None, :]).all(axis=1)
-    col_ok = (op == idx[:, None]).all(axis=0)
-    ids = np.flatnonzero(row_ok & col_ok)
-    if ids.size == 0:
-        raise NoIdentity("no two-sided identity element")
-    e = int(ids[0])
-    if e != 0:
-        # swap labels 0 and e in place (op is our own copy): rows, columns
-        # and values
-        op[[0, e]] = op[[e, 0]]
-        op[:, [0, e]] = op[:, [e, 0]]
-        was_zero = op == 0
-        op[op == e] = 0
-        op[was_zero] = e
-
-    # a row (column) is a permutation iff it sorts to 0..n-1. Rows, then
-    # columns, are sorted a block of about 2^20 cells at a time, so no n^2
-    # copy is formed; only the first bad one is searched for its first
-    # repeated cell.
+def _check_latin(op: np.ndarray) -> None:
+    """Raise ``NotLatinSquare`` at the first repeated cell of the first
+    row, else column, that is not a permutation. A row (column) is one
+    iff it sorts to 0..n-1: rows, then columns, are sorted a block of
+    about 2^20 cells at a time, so no n^2 copy is formed; only the first
+    bad one is searched for its first repeated cell."""
+    n = op.shape[0]
+    idx = np.arange(n, dtype=op.dtype)
     step = max(1, _BLOCK_CELLS // n)
     for axis, view in ((0, op), (1, op.T)):
         for lo in range(0, n, step):
@@ -590,8 +479,194 @@ def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> Grou
                 raise NotLatinSquare(f"row {i} repeats a value at column {j}", cell=(i, j))
             raise NotLatinSquare(f"column {i} repeats a value at row {j}", cell=(j, i))
 
-    _check_associativity(op)
-    return GroupTable(op=op, inv=_inverses(op), name=name, validation="full")
+
+def _inverses(op: np.ndarray) -> np.ndarray:
+    """``inv[x]`` is the first y with xy = 0 (the identity), or 0 if row
+    x holds no 0. Rows are searched a block of about 2^20 cells at a
+    time, so no n^2 temporary is formed."""
+    n = op.shape[0]
+    step = max(1, _BLOCK_CELLS // n)
+    inv = np.empty(n, dtype=_DTYPE)
+    for lo in range(0, n, step):
+        inv[lo:lo + step] = np.argmax(op[lo:lo + step] == 0, axis=1)
+    return inv
+
+
+_JSON_SPACE = " \t\n\r"
+# brackets become spaces, which np.fromstring skips, and every byte but
+# digits, commas and brackets is deleted
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_NOT_TABLE_BYTES = bytes(sorted(set(range(256)) - set(b"0123456789,[]")))
+_COMMA, _OPEN, _CLOSE = b",[]"
+_TWO_COMMAS = np.frombuffer(b",,", dtype=np.uint16)[0]
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def table_from_json(text: str) -> np.ndarray | None:
+    """``np.asarray(json.loads(text))`` for the JSON text of a square table
+    of non-negative integers, read without a Python int per cell; None
+    for any text that this reader cannot prove ``json.loads`` decodes to
+    the same int64 array.
+
+    Accepted are the compact ``[[0,1],[1,0]]`` and the ``json.dumps``
+    default ``[[0, 1], [1, 0]]`` spellings, with JSON whitespace around
+    the whole. Any other whitespace, a sign, a fraction, an exponent, a
+    boolean, a leading zero, an empty or ragged row, a value that does
+    not fit in int64 or a non-ASCII character gives None, and the caller
+    decodes the text with ``json.loads``.
+
+    The text is proved a table from the n + 1 positions of "[" and of
+    "]" and a few whole-text passes in numpy and ``bytes.translate``,
+    with no pass per row; then one ``np.fromstring`` parses all n^2
+    values, and each row's byte length is checked against the decimal
+    lengths of the n values read for it.
+
+    Raises ``OrderCapExceeded`` for more than ``ORDER_CAP`` rows, from
+    a count of brackets, before any n^2 array exists.
+    """
+    text = text.strip(_JSON_SPACE)
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    del text  # often the only reference: a copy of the table's text
+    if b" " in raw:  # one byte: a memchr, not a substring search
+        # whitespace between tokens is insignificant; after this only
+        # digits, commas and brackets may remain
+        raw = raw.replace(b", ", b",")
+    flat = raw.translate(_BRACKETS_TO_SPACES, _NOT_TABLE_BYTES)
+    if len(flat) != len(raw) or not (raw.startswith(b"[[") and raw.endswith(b"]]")):
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    is_close = data == _CLOSE
+    n = int(np.count_nonzero(is_close)) - 1
+    if n > ORDER_CAP:
+        # the error counts rows as one more than the "],[" in the text,
+        # at most n in a text that ends in "]]", table or not
+        rows = raw.count(b"],[") + 1
+        if rows > ORDER_CAP:
+            raise OrderCapExceeded(f"table of {rows} rows exceeds the cap of {ORDER_CAP}")
+        return None
+    closes = np.flatnonzero(is_close)
+    del is_close  # one text-long mask at a time
+    is_open = data == _OPEN
+    if np.count_nonzero(is_open) != n + 1:
+        return None
+    opens = np.flatnonzero(is_open)
+    del is_open
+    # Row r runs from opens[r + 1] to closes[r]. A text that starts "[["
+    # and ends "]]" is "[[" row "],[" row ... "]]", with no bracket in a
+    # row, when every row is nonempty and each "]" but the last two is
+    # followed by ",[". A row must not begin or end with a comma, and no
+    # two commas may follow each other (",," fills one of the 16-bit
+    # words at byte offset 0 or 1).
+    ends, starts = closes[:-1], opens[1:]
+    words = (np.frombuffer(flat, dtype=np.uint16, count=len(flat) // 2),
+             np.frombuffer(flat, dtype=np.uint16, count=(len(flat) - 1) // 2, offset=1))
+    if (
+        not (starts + 1 < ends).all()
+        or not (opens[2:] == ends[:-1] + 2).all()
+        or not (data[ends[:-1] + 1] == _COMMA).all()
+        or (data[starts + 1] == _COMMA).any()
+        or (data[ends - 1] == _COMMA).any()
+        or any((w == _TWO_COMMAS).any() for w in words)
+        or np.count_nonzero(data == _COMMA) != n * n - 1
+    ):
+        return None
+    del words, data, raw  # flat is all that is parsed
+    # Now the text holds exactly n^2 runs of digits. That must be proved
+    # first: given a count, np.fromstring makes up values it cannot read,
+    # and without one, numpy < 2 returns what it read so far from
+    # malformed text. It also clamps values past int64 to its maximum,
+    # and reads "01" as 1.
+    values = np.fromstring(flat, dtype=np.int64, count=n * n, sep=",")
+    if values.size != n * n:
+        return None
+    top = int(values.max())
+    if top == _INT64_MAX:
+        return None
+    table = values.reshape(n, n)
+    # Row r of the text must be as long as the decimal digits of row r
+    # of the table and n - 1 commas. No value is spelled in fewer bytes
+    # than its digits, so over all rows this proves no leading zero; then
+    # each value and its comma take at least 2 bytes, and equal lengths
+    # at every row end prove n values in every row.
+    digits = n + sum(np.count_nonzero(table >= 10**k, axis=1) for k in range(1, len(str(top))))
+    if not (ends - starts - 1 == digits + n - 1).all():
+        return None
+    return table
+
+
+def build_from_cayley(table: Sequence[Sequence[int]], *, name: str = "") -> GroupTable:
+    """Validate a square multiplication table and wrap it as a group.
+
+    The identity is relabeled to index 0 if necessary (labels 0 and e
+    swap; the cells that later errors name use this numbering). Raises
+    ``OrderCapExceeded`` above ``ORDER_CAP`` rows, and
+    ``NotClosed`` / ``NoIdentity`` / ``NotLatinSquare`` / ``NotAssociative``,
+    each naming the first violating cell. Entries must be integers:
+    floats and booleans raise ``NotClosed`` instead of being truncated.
+
+    Associativity is exact at every order (Light's test, see
+    :func:`_check_associativity`), and every table that passes is
+    ``validation == "full"``. Light's test runs first, and the Latin
+    sorts only on a table it does not accept, to name the refusal:
+
+    * If the checked picks reach all n elements, the table is
+      associative: it is a monoid. If also every row holds the identity,
+      every element has a right inverse, which in a monoid is two-sided:
+      the table is a group, so its rows and columns are permutations.
+    * Otherwise (a pick is not associative, the picks stop at the bound
+      without reaching n, or a row holds no identity) the rows, then the
+      columns, are checked to be permutations, which names the first
+      non-Latin cell as before. A Latin square with identity 0 that gets
+      past them is a loop, in which each checked pick at least doubles
+      the reached set: the fast run took the same picks in the same
+      order as a Latin-first run, compared the same cells, and its first
+      ``NotAssociative`` is the refusal. (A loop that is associative is a
+      group, which would have been accepted.)
+    """
+    op = np.asarray(table)
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
+        raise NotClosed(f"table must be square and nonempty, got shape {op.shape}")
+    n = op.shape[0]
+    if n > ORDER_CAP:
+        raise OrderCapExceeded(f"table of {n} rows exceeds the cap of {ORDER_CAP}")
+    if op.dtype.kind not in "iu":
+        raise NotClosed(f"table entries must be integers, got {op.dtype}")
+
+    if op.min() < 0 or op.max() >= n:
+        i, j = map(int, np.argwhere((op < 0) | (op >= n))[0])
+        raise NotClosed(
+            f"cell ({i},{j}) holds {int(op[i, j])}, outside [0,{n})", cell=(i, j)
+        )
+    op = op.astype(_DTYPE)
+
+    # the identity e has e0 = 0: only such rows are compared in full
+    idx = np.arange(n, dtype=_DTYPE)
+    e = next((int(e) for e in np.flatnonzero(op[:, 0] == 0)
+              if np.array_equal(op[e], idx) and np.array_equal(op[:, e], idx)), None)
+    if e is None:
+        raise NoIdentity("no two-sided identity element")
+    if e != 0:
+        # swap labels 0 and e in place (op is our own copy): rows, columns
+        # and values
+        op[[0, e]] = op[[e, 0]]
+        op[:, [0, e]] = op[:, [e, 0]]
+        was_zero = op == 0
+        op[op == e] = 0
+        op[was_zero] = e
+
+    refusal = inv = None
+    try:
+        if _check_associativity(op):
+            inv = _inverses(op)
+    except NotAssociative as exc:
+        # dropping the traceback frees the pick's blocks for the sorts
+        refusal = exc.with_traceback(None)
+    if inv is None or not (op[idx, inv] == 0).all():
+        _check_latin(op)
+        raise refusal  # a loop: see above
+    return GroupTable(op=op, inv=inv, name=name, validation="full")
 
 
 def build_from_permutations(
@@ -741,7 +816,9 @@ def _extend(right: list[list[int]], seen: list[bool]) -> list[int]:
     O(|<H, s>| r) steps; a numpy pass per level costs more on small
     groups, whose cyclic subgroups take one level per element. The maps
     are one list per generator, not one per element: n small lists would
-    each count towards the cyclic garbage collector's thresholds.
+    each count towards the cyclic garbage collector's thresholds. On a
+    table that is no group, where Hs can meet H, the flags stay exact
+    but the list returned can repeat elements or hold some of H.
     """
     last = right[-1]
     reached = [last[x] for x in compress(range(len(seen)), seen)]  # Hs is disjoint from H

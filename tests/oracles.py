@@ -75,6 +75,51 @@ def dihedral_by_permutations(n: int) -> GroupTable:
     return build_from_permutations(n, [rot, refl], name=f"D{n}")
 
 
+def latin_first_verdict(table) -> tuple:
+    """What Cayley-table validation decides when it checks, in this
+    order, the range, a two-sided identity (moved to 0 by swapping labels
+    0 and e), rows, then columns, as permutations, then Light's test on
+    the greedy picks: ``("full", op, inv)`` as lists, or the refusal's
+    ``(type name, message, cell)``. Every check scans the whole table."""
+    op = np.array(table)
+    n = len(op)
+    bad = np.argwhere((op < 0) | (op >= n))
+    if len(bad):
+        i, j = (int(v) for v in bad[0])
+        return ("NotClosed", f"cell ({i},{j}) holds {int(op[i, j])}, outside [0,{n})", (i, j))
+    idx = np.arange(n)
+    ids = [e for e in range(n) if (op[e] == idx).all() and (op[:, e] == idx).all()]
+    if not ids:
+        return ("NoIdentity", "no two-sided identity element", None)
+    e = ids[0]
+    swap = idx.copy()
+    swap[[0, e]] = [e, 0]
+    op = swap[op[np.ix_(swap, swap)]]
+    for i, row in enumerate(op.tolist()):
+        for j, v in enumerate(row):
+            if v in row[:j]:
+                return ("NotLatinSquare", f"row {i} repeats a value at column {j}", (i, j))
+    for j, col in enumerate(op.T.tolist()):
+        for i, v in enumerate(col):
+            if v in col[:i]:
+                return ("NotLatinSquare", f"column {j} repeats a value at row {i}", (i, j))
+    reached = {0}
+    picks: list[int] = []
+    while len(reached) < n:
+        s = min(set(range(n)) - reached)
+        picks.append(s)
+        frontier = list(reached)
+        while frontier:  # close under right multiplication by the picks
+            frontier = [int(op[x, t]) for x in frontier for t in picks]
+            frontier = [y for y in set(frontier) if y not in reached]
+            reached.update(frontier)
+        differ = np.argwhere(op[op[:, s]] != op[:, op[s]])  # (xs)y, x(sy)
+        if len(differ):
+            x, y = (int(v) for v in differ[0])
+            return ("NotAssociative", f"(x*y)*z != x*(y*z) at (x,y,z)=({x},{s},{y})", (x, s, y))
+    return ("full", op.tolist(), np.argmax(op == 0, axis=1).tolist())
+
+
 def fingerprint(G: GroupTable) -> tuple[int, Fraction, tuple[int, ...]]:
     """(order, Pr, sorted class-size multiset)."""
     return (G.order, pr_direct(G), tuple(sorted(conjugacy_classes(G).sizes())))

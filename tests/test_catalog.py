@@ -133,6 +133,10 @@ C2 = "[[0,1],[1,0]]"
         ('{"name":"a","source":"cayley","table":[[0,-1],[1,0]]}', False),
         ('{"name":"a","source":"cayley","table":[[0,1.0],[1,0]]}', False),
         ('{"name":"é","source":"cayley","table":%s}' % C2, True),
+        # the table ends at the first "]]" after it, wherever else one is
+        ('{"name":"a","source":"cayley","table":%s,"tags":["a]]"]}' % C2, True),
+        ('{"name":"a","source":"cayley","tags":["]]"],"table":%s,"x":[[0]]}' % C2, True),
+        ('{"name":"a","source":"cayley","table":[[[0]]],"tags":["a]]"]}', False),
     ],
 )
 def test_cayley_line_decodes_as_json_loads(tmp_path, line, fast):
@@ -153,6 +157,17 @@ def test_cayley_line_decodes_as_json_loads(tmp_path, line, fast):
     want = {k: v for k, v in data.items() if k not in ("name", "source", "tags")}
     assert json.dumps(payload) == json.dumps(want)
     assert entry.name == data["name"]
+
+
+def test_blank_lines_are_skipped_and_counted(tmp_path):
+    path = tmp_path / "cat.jsonl"
+    good = '{"name":"a","source":"cayley","table":%s}\n' % C2
+    path.write_text("\n" + good + " \t\n" + good + "\u2003\n" + "{\n", encoding="utf-8")
+    with pytest.raises(ParseError) as e:
+        ingest(path)
+    assert e.value.line == 6
+    path.write_text("\n" + good + " \t\r\n" + good + "\n\n", encoding="utf-8")
+    assert [entry.name for entry in ingest(path)] == ["a", "a"]
 
 
 def test_cayley_line_errors_are_unchanged(tmp_path):

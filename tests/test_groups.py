@@ -8,6 +8,7 @@ they check.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -62,7 +63,7 @@ from commprob.groups import (
 )
 from commprob.probability import check_bounds, pr_direct, verify_special_forms
 
-from oracles import conjugate, cosets_by_table, element_orders
+from oracles import conjugate, cosets_by_table, element_orders, latin_first_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1314,6 +1315,112 @@ def test_associativity_verdict_matches_brute_force(corpus16):
                 build_from_cayley(loop.tolist())
             assert_violation(loop, e.value.cell)
     assert min(verdicts.values()) > 400, verdicts
+
+
+def cayley_verdict(table) -> tuple:
+    """build_from_cayley's verdict in the form of ``latin_first_verdict``."""
+    try:
+        G = build_from_cayley(table)
+    except (NotClosed, NoIdentity, NotLatinSquare, NotAssociative) as e:
+        return (type(e).__name__, str(e), e.cell)
+    return (G.validation, G.op.tolist(), G.inv.tolist())
+
+
+def magmas_with_identity(rng: random.Random, count: int):
+    """Random tables of order 4-8 with a two-sided identity, relabelled;
+    every third has a 0 in each row, so its inverse check cannot refuse
+    it before Light's test does."""
+    for k in range(count):
+        n = rng.randint(4, 8)
+        table = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        table[0] = table[:, 0] = np.arange(n)
+        if k % 3 == 0:
+            for x in range(1, n):
+                table[x, rng.randrange(1, n)] = 0
+        yield relabelled(table, rng)
+
+
+def edited_members(corpus: list, rng: random.Random):
+    """Relabelled groups, as they are and with one edit each: a cell
+    changed, two rows or two columns swapped, an intercalate swapped, or
+    the identity's row broken."""
+    for G, _spec in corpus:
+        n = G.order
+        if n < 3:
+            continue
+        for edit in ("none", "cell", "rows", "columns", "intercalate", "identity"):
+            table = relabelled(np.array(G.op), rng)
+            a, b = rng.sample(range(n), 2)
+            if edit == "cell":
+                table[a, b] = (table[a, b] + rng.randrange(1, n)) % n
+            elif edit == "rows":
+                table[[a, b]] = table[[b, a]]
+            elif edit == "columns":
+                table[:, [a, b]] = table[:, [b, a]]
+            elif edit == "intercalate":
+                swap_intercalate(table, rng)
+            elif edit == "identity":
+                e = int(np.flatnonzero((table == np.arange(n)).all(axis=1))[0])
+                table[e, a] = table[e, b]
+            yield table
+
+
+ASSOCIATIVE_NON_GROUPS = [
+    [[0, 1], [1, 1]],
+    [[0, 1, 2], [1, 1, 1], [2, 1, 2]],  # with 1 a zero
+    np.minimum.outer(np.arange(6), np.arange(6)) % 6,  # min on 1..5 plus 0
+    [[0, 1, 2], [1, 2, 2], [2, 2, 2]],  # addition capped at 2
+    [[1, 2, 0], [2, 2, 1], [0, 1, 2]],  # the same with the identity at 2
+]
+
+
+def test_refusals_match_the_latin_first_order(corpus48):
+    """Light's test first, the Latin check only to name a refusal: the
+    verdict, and a refusal's type, message and cell, are those of
+    validating rows, then columns, then associativity."""
+    rng = random.Random(29)
+    tables = [
+        np.array(cells).reshape(n, n)
+        for n in (1, 2, 3)
+        for cells in itertools.product(range(n), repeat=n * n)
+    ]
+    tables = [t for t in tables
+              if any((t[e] == np.arange(len(t))).all() and (t[:, e] == np.arange(len(t))).all()
+                     for e in range(len(t)))]
+    assert len(tables) == 1 + 4 + 243
+    tables += magmas_with_identity(rng, 5000)
+    tables += edited_members([(G, s) for G, s in corpus48 if G.order <= 32], rng)
+    tables += [np.array(t) for t in ASSOCIATIVE_NON_GROUPS]
+    kinds: dict[str, int] = {}
+    for table in tables:
+        want = latin_first_verdict(table)
+        assert cayley_verdict(table.tolist()) == want, table.tolist()
+        kinds[want[0]] = kinds.get(want[0], 0) + 1
+    assert all(kinds.get(k, 0) > 100 for k in
+               ("full", "NoIdentity", "NotLatinSquare", "NotAssociative")), kinds
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["min-semilattice", "a-0-in-every-row"])
+def test_non_group_validation_is_bounded(zeros, monkeypatch):
+    """A non-Latin table costs at most floor(log2 n) + 1 pick comparisons
+    and keeps the refusal of a Latin-first run. On min over 1..1023 with
+    0 as identity every pick is associative, but its images Hs fall back
+    into H (min(h, s) = h for h < s), so each adds one element and the
+    picks never reach n. With a 0 put in every row, a pick that passes at
+    least doubles the set reached; this one fails at the first pick."""
+    n = 1024
+    table = np.minimum.outer(np.arange(n), np.arange(n))
+    table[0] = table[:, 0] = np.arange(n)
+    if zeros:
+        table[np.arange(1, n), np.arange(n - 1, 0, -1)] = 0
+    compared = []
+    check_pick = groups_module._check_pick
+    monkeypatch.setattr(groups_module, "_check_pick",
+                        lambda op, s, buffers: compared.append(s) or check_pick(op, s, buffers))
+    with pytest.raises(NotLatinSquare) as e:
+        build_from_cayley(table)
+    assert (type(e.value).__name__, str(e.value), e.value.cell) == latin_first_verdict(table)
+    assert len(compared) == (1 if zeros else n.bit_length())
 
 
 def test_cayley_validation_memory_is_linear():
