@@ -38,9 +38,15 @@ subgroups from normal closures of generator products.
 Classes and cosets are the orbits of a few maps, numbered by their
 smallest point (``_orbits``): the classes under the conjugation maps,
 the cosets xN of a normal N (quotients, the upper central series) under
-the right maps of N's generators. A normal subgroup is a union of
-classes, so the conjugation orbit count on it and the normal core of a
-subgroup are read off the class partition.
+the right maps of N's generators. Each group forms its class partition
+once and keeps it (``conjugacy_classes``), and every reader reads that
+one partition: Pr, the center index, F(G), the normal subgroups, the
+normal core and the orbit count on a normal subgroup (a normal subgroup
+is a union of classes). A direct product runs no orbits: it records its
+factors, and the class of (x, y) is C_A(x) x C_B(y), numbered
+``class_of_A[x] * k_B + class_of_B[y]`` from the factors' partitions,
+which is again the numbering by smallest element. The member tuples of
+the classes are formed only when read (F(G), the normal subgroups).
 
 The same greedy picks validate a Cayley table exactly, at every order:
 associativity by Light's test, (xs)y = x(sy) for each pick s only
@@ -150,6 +156,8 @@ class GroupTable:
 
     compose: Callable[[int], np.ndarray] | None = field(
         default=None, repr=False, kw_only=True)
+    factors: tuple[GroupTable, GroupTable] | None = field(
+        default=None, repr=False, kw_only=True)
     op: np.ndarray = _Table()
     inv: np.ndarray
     name: str = ""
@@ -181,8 +189,9 @@ class GroupTable:
         return f"GroupTable({self.name or 'G'}, order={self.order})"
 
     def renamed(self, name: str) -> GroupTable:
-        """The same group under another name; ``dataclasses.replace``
-        would read ``op``, and so fill a table that is not filled yet."""
+        """The same group under another name, with the same map source and
+        factors; ``dataclasses.replace`` would read ``op``, and so fill a
+        table that is not filled yet."""
         return replace(self, op=vars(self).get("op"), name=name)
 
     def _right_map(self, s: int) -> np.ndarray:
@@ -222,6 +231,16 @@ class GroupTable:
         maps = np.array(rows, dtype=_DTYPE).reshape(len(rows), self.order)
         maps.setflags(write=False)
         return maps
+
+    @cached_property
+    def _classes(self) -> ClassPartition:
+        """The class partition, formed once (see :func:`conjugacy_classes`):
+        the orbits of the conjugation maps, or for a direct product the
+        product of its factors' partitions."""
+        if self.factors is None:
+            return ClassPartition(_orbits(self.conjugation)[0])
+        a, b = map(conjugacy_classes, self.factors)
+        return ClassPartition(np.add.outer(a.class_of * b.count, b.class_of).ravel())
 
 
 def _fill(G: GroupTable) -> np.ndarray:
@@ -300,20 +319,36 @@ class Subgroup:
 
 @dataclass(frozen=True, eq=False)
 class ClassPartition:
-    """Conjugacy classes: disjoint element sets plus an element->class map."""
+    """Conjugacy classes numbered by their smallest element: ``class_of[x]``
+    is the number of x's class (so the class of the identity is 0).
 
-    classes: tuple[tuple[int, ...], ...]
+    The count and the sizes are read from one bincount of ``class_of``.
+    The member tuples, ``classes``, each in increasing order, are formed
+    only when first read; counting readers (Pr, the center index) never
+    form them."""
+
     class_of: np.ndarray
 
     def __post_init__(self):
         self.class_of.setflags(write=False)
 
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        return np.bincount(self.class_of)
+
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return self._sizes.size
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return tuple(self._sizes.tolist())
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        classes: list[list[int]] = [[] for _ in range(self.count)]
+        for x, c in enumerate(self.class_of.tolist()):
+            classes[c].append(x)
+        return tuple(map(tuple, classes))
 
 
 @dataclass(frozen=True)
@@ -783,6 +818,10 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     scaled by |B| with each value repeated |B| times, plus R_y tiled |A|
     times, one outer add of the factors' right maps. Its own table is
     filled from these maps on the first read of ``op`` (see :func:`_fill`).
+
+    The two factors are recorded as ``factors``, which only this
+    constructor sets: the product's class partition is read off theirs
+    (see :func:`conjugacy_classes`), with no orbits run on the product.
     """
     na, nb = a.order, b.order
     n = na * nb
@@ -795,7 +834,7 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
         x, y = divmod(s, nb)
         return np.add.outer(a._right_map(x) * nb, b._right_map(y)).ravel()
 
-    return GroupTable(None, inv, name=name, compose=compose)
+    return GroupTable(None, inv, name=name, compose=compose, factors=(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -989,17 +1028,23 @@ def _cosets(G: GroupTable, N: Subgroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    """Orbit partition under conjugation x -> g^-1 x g.
+    """Orbit partition under conjugation x -> g^-1 x g, computed once per
+    group and kept on it.
 
     The orbits are taken under the conjugation maps of the generators
     only. Classes are numbered by their smallest element and list their
     members in increasing order.
+
+    A direct product A x B (``G.factors``) runs no orbits of its own: the
+    class of (x, y) is C_A(x) x C_B(y), so its number is read off the
+    factors' partitions as ``class_of_A[x] * k_B + class_of_B[y]``, k_B
+    the class count of B. That is the numbering by smallest element:
+    (x, y) is packed as x*|B| + y, so the smallest element of
+    C_A(x) x C_B(y) is min C_A(x) * |B| + min C_B(y), and these fall in
+    the lexicographic order of the factors' class numbers, since each
+    factor numbers its classes by their smallest element too.
     """
-    class_of, reps = _orbits(G.conjugation)
-    classes: list[list[int]] = [[] for _ in range(reps.size)]
-    for x, c in enumerate(class_of.tolist()):
-        classes[c].append(x)
-    return ClassPartition(classes=tuple(map(tuple, classes)), class_of=class_of)
+    return G._classes
 
 
 def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
@@ -1147,18 +1192,23 @@ def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     of G inside H, the union of the conjugacy classes inside H (x is in
     every conjugate of H exactly when its whole class lies in H)."""
     _check_parent(G, H)
-    class_of, reps = _orbits(G.conjugation)
-    leaves = np.zeros(reps.size, dtype=bool)
-    leaves[class_of[~H.mask]] = True  # the classes with an element outside H
-    return Subgroup(G, tuple(np.flatnonzero(~leaves[class_of]).tolist()))
+    part = conjugacy_classes(G)
+    leaves = np.zeros(part.count, dtype=bool)
+    leaves[part.class_of[~H.mask]] = True  # the classes with an element outside H
+    return Subgroup(G, tuple(np.flatnonzero(~leaves[part.class_of]).tolist()))
 
 
 def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
     """Number of conjugation orbits of G on a normal subgroup N: N is a
-    union of conjugacy classes, each counted by its smallest element."""
+    union of conjugacy classes, so it is the number of classes met by N."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    return int(N.mask[_orbits(G.conjugation)[1]].sum())
+    return _orbit_count(G, N)
+
+
+def _orbit_count(G: GroupTable, N: Subgroup) -> int:
+    """:func:`orbit_count_on_normal` for an N its caller has found normal."""
+    return int(np.count_nonzero(np.bincount(conjugacy_classes(G).class_of[N.mask])))
 
 
 def is_nilpotent(G: GroupTable) -> bool:

@@ -24,6 +24,7 @@ from .groups import (
     _check_parent,
     _commutators,
     _cosets,
+    _orbit_count,
     SUBGROUP_CUTOFF,
     GroupTable,
     Subgroup,
@@ -34,7 +35,6 @@ from .groups import (
     derived_subgroup,
     fitting_subgroup,
     is_normal,
-    orbit_count_on_normal,
     prime_power,
     quotient,
     subgroup_table,
@@ -424,8 +424,8 @@ def check_bounds(G: GroupTable, context: BoundContext | None = None) -> PrReport
     if N is None:
         skip("orbit-bound", "no subgroup supplied")
     else:
-        orbits = orbit_count_on_normal(G, N)
-        quot = quotient(G, N)
+        quot = quotient(G, N)  # refuses an N that is not normal
+        orbits = _orbit_count(G, N)
         c = ctx.orbit_class_bound
         if c is None and quot.order <= SUBGROUP_CUTOFF:
             # k(S) = Pr(S) |S|, and Pr(S) is S's commuting pairs over |S|^2

@@ -709,6 +709,21 @@ _FILTER_FLAG_SETS = (
 _INTERVAL_FLAG_SETS = ([], ["--open"], ["--closed-left"], ["--closed-right"], ["--closed"])
 
 
+def test_corpus64_survey_and_scan_outputs_are_pinned(capsys):
+    """rc and stdout of ``survey --json``, ``survey --csv`` and a closed
+    ``scan`` on corpus(64), whose 425 members hold 306 direct products,
+    as one sha256 taken while each product's classes were still the orbits
+    of its own conjugation maps."""
+    h = hashlib.sha256()
+    for argv in (["survey", "--corpus", "64", "--json"], ["survey", "--corpus", "64", "--csv"],
+                 ["scan", "--corpus", "64", "--interval", "2/15..7/40", "--closed", "--json"]):
+        code, out, _ = _call(capsys, argv)
+        h.update(f"{argv!r}|{code}|{out}\n".encode())
+    assert h.hexdigest() == (
+        "6737063c599be26c5ad26931999bba2ce9263a0cdff871d28e26324511a2e357"
+    )
+
+
 def test_survey_and_scan_outputs_are_pinned(capsys):
     """rc and stdout of ``survey --json``, ``survey --csv`` and ``scan``
     on corpus(24) under each filter flag set, as one sha256 taken while

@@ -13,6 +13,7 @@ import json
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -61,7 +62,13 @@ from commprob.groups import (
     subgroup_table,
     table_from_json,
 )
-from commprob.probability import check_bounds, pr_direct, verify_special_forms
+from commprob.probability import (
+    BoundContext,
+    check_bounds,
+    pr_direct,
+    pr_report,
+    verify_special_forms,
+)
 
 from oracles import conjugate, cosets_by_table, element_orders, latin_first_verdict
 
@@ -642,6 +649,94 @@ def test_conjugacy_classes(named):
         for cid, cls in enumerate(part.classes):
             assert g.order % len(cls) == 0
             assert all(part.class_of[x] == cid for x in cls)
+
+
+def _orbit_partition(G: GroupTable) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """``class_of`` as the orbits of G's own conjugation maps, and the
+    member lists read off it by a plain scan."""
+    class_of, _ = groups_module._orbits(G.conjugation)
+    members: dict[int, list[int]] = {}
+    for x, c in enumerate(class_of.tolist()):
+        members.setdefault(c, []).append(x)
+    return class_of, tuple(tuple(members[c]) for c in sorted(members))
+
+
+def test_product_classes_are_the_orbit_partition(corpus64):
+    """A direct product's classes, read off its factors' partitions, are
+    the orbits of its own conjugation maps, numbered, typed and listed
+    alike: on every product of corpus(64), on products nested either
+    way, on products with a factor from a Cayley table, from
+    permutations, a quotient and a subgroup table, and on a renamed
+    product (as catalog family entries are)."""
+    s3, d4, q8 = (make(FamilySpec(f, p))[0]
+                  for f, p in (("symmetric", (3,)), ("dihedral", (4,)), ("dicyclic", (2,))))
+    s4 = build_from_permutations(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)])
+    klein = next(N for N in normal_subgroups(s4) if N.order == 4)
+    factors = [
+        build_from_cayley(s3.op.tolist(), name="S3"),
+        s4,
+        quotient(s4, klein),
+        subgroup_table(s4, derived_subgroup(s4)),
+    ]
+    products = [t for t, spec in corpus64 if spec.family == "product"]
+    assert len(products) == 306
+    products += [
+        direct_product(direct_product(s3, d4), q8),
+        direct_product(s3, direct_product(d4, q8)),
+        *(direct_product(f, d4) for f in factors),
+        *(direct_product(q8, f) for f in factors),
+    ]
+    renamed = direct_product(s3, q8).renamed("family entry")
+    assert renamed.factors[0] is s3 and renamed.factors[1] is q8
+    products.append(renamed)
+    for P in products:
+        assert P.factors is not None, P.name
+        part = conjugacy_classes(P)  # read off the factors, then checked against P's own orbits
+        class_of, classes = _orbit_partition(P)
+        assert part.class_of.dtype == np.int32 and class_of.dtype == np.int32, P.name
+        assert part.class_of.tobytes() == class_of.tobytes(), P.name
+        assert part.classes == classes, P.name
+        assert part.count == len(classes) and part.sizes() == tuple(map(len, classes))
+
+
+def test_classes_are_formed_once_and_never_on_a_product(monkeypatch):
+    """Each group forms its class partition once: the bound suite with an
+    orbit subgroup runs the orbits of G's conjugation maps once and checks
+    the subgroup's normality once, and a product runs orbits only on its
+    factors, forming no conjugation map or generator of its own."""
+    orbit_calls, normal_calls = [], []
+    real_orbits, real_is_normal = groups_module._orbits, groups_module.is_normal
+
+    def counting_orbits(maps):
+        orbit_calls.append(maps)
+        return real_orbits(maps)
+
+    def counting_is_normal(G, H):
+        normal_calls.append(H)
+        return real_is_normal(G, H)
+
+    monkeypatch.setattr(groups_module, "_orbits", counting_orbits)
+    monkeypatch.setattr(groups_module, "is_normal", counting_is_normal)
+    for spec in (FamilySpec("symmetric", (4,)), FamilySpec("dicyclic", (3,)),
+                 FamilySpec("dihedral", (5,)), FamilySpec("extraspecial", (2, 1))):
+        G, _ = make(spec)  # built afresh: nothing is formed yet
+        assert not is_abelian(G) and G.order <= 192
+        Z = center(G)
+        orbit_calls.clear()
+        check_bounds(G, BoundContext(orbit_subgroup=Z))
+        assert sum(maps is G.conjugation for maps in orbit_calls) == 1, spec
+        assert len(normal_calls) == 1 and normal_calls.pop() is Z, spec
+        assert conjugacy_classes(G) is conjugacy_classes(G)
+        assert sum(maps is G.conjugation for maps in orbit_calls) == 1, spec
+
+    s3, d4 = make(FamilySpec("symmetric", (3,)))[0], make(FamilySpec("dihedral", (4,)))[0]
+    P = direct_product(s3, d4)
+    orbit_calls.clear()
+    report = pr_report(P)
+    assert (report.k, report.pr, report.center_index) == (15, Fraction(5, 16), 24)
+    assert "conjugation" not in vars(P) and "_generator_maps" not in vars(P)
+    assert sorted(maps.shape[1] for maps in orbit_calls) == [6, 8]  # the factors only
+    assert conjugacy_classes(P) is conjugacy_classes(P)
 
 
 def test_centralizer_and_center(named):
