@@ -76,7 +76,6 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations, compress
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -205,7 +204,7 @@ class GroupTable:
         """Each generator's right map, read-only, in pick order: the maps
         that :func:`_greedy` takes from :meth:`_right_map` while it picks,
         so routines that need them compose none again."""
-        maps = dict(_greedy(self.order, self._right_map))
+        maps = dict(_greedy(self._right_map, [True] + [False] * (self.order - 1)))
         for R in maps.values():
             R.setflags(write=False)
         return maps
@@ -359,8 +358,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(self.degree)):
+        images = tuple(_integers(self.images, "image"))
+        if sorted(images) != list(range(self.degree)):
             raise ValueError("images must be a bijection of [0, degree)")
+        object.__setattr__(self, "images", images)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +465,9 @@ def _check_associativity(op: np.ndarray) -> bool:
     by :func:`_check_pick` after it extends the reached set; that raises
     ``NotAssociative`` at the first (x, s, y) with (xs)y != x(sy).
 
-    The reached set is read off the flags that :func:`_extend` sets,
-    which are exact on any table, where the count of what it returns is
-    not once Hs meets H. A group is generated by at most floor(log2 n)
-    greedy picks, each at least doubling the subgroup before it, so at
-    most floor(log2 n) + 1 picks are compared: O(n^2 log n) time at any
-    order, on groups and non-groups alike.
+    The picks are those of :func:`_greedy`, which stops after at most
+    floor(log2 n) + 1 of them: O(n^2 log n) time at any order, on groups
+    and non-groups alike.
     """
     n = op.shape[0]
     # the blocks (xs)y and x(sy) of every pick: memory used once is
@@ -480,14 +478,7 @@ def _check_associativity(op: np.ndarray) -> bool:
     step = min(n, max(1, _BLOCK_CELLS // n))
     buffers = [np.empty((step, n), dtype=op.dtype) for _ in range(2)]
     seen = [True] + [False] * (n - 1)
-    right: list[list[int]] = []
-    s = 0
-    for _ in range(n.bit_length()):
-        if False not in seen:
-            break
-        s = seen.index(False, s)
-        right.append(op[:, s].tolist())
-        _extend(right, seen)
+    for s, _ in _greedy(lambda s: op[:, s], seen):
         _check_pick(op, s, buffers)
     return False not in seen
 
@@ -714,15 +705,23 @@ def build_from_permutations(
 
     Elements are numbered by breadth-first discovery with the generator
     order fixed, so identical input always yields identical numbering.
-    The closure records ``right[k][g]``, the index of e_k * g, and the
-    (k, g) that first reached each element e_j = e_k * g. Each step
-    composes in C: up to degree 256 an element is the bytes of its
-    images, and e_k * g is ``bytes.translate`` of e_k through g's images
-    padded to 256 bytes; above that, where a point does not fit in a
-    byte, it is the tuple of its images, and every generator's image
-    tuple is read through one ``itemgetter`` of e_k's images.
+    An element is the row of its images as ``uint16``, and its key is
+    that row's bytes, in one dict from key to index: 2 bytes a point, so
+    the keys of a closure at the cap take at most ``ORDER_CAP**2 * 2``
+    bytes, half of one int32 table there. The closure records
+    ``right[k][g]``, the index of e_k * g, and the (k, g) that first
+    reached each element e_j = e_k * g, as two flat int lists.
 
-    The inverses cost O(n), with no search: for each generator h the
+    One level is closed at a time, the elements first reached from the
+    level before. The products of a block of its rows with every generator
+    are one ``take`` of the generators' images at those rows, swapped into
+    (k, g) order. A block holds at most ``_BLOCK_CELLS`` cells, or one
+    element if its products alone hold more, so no temporary grows with
+    level size x generators x degree. A level in (k, g) order is the order
+    in which a queue of single elements meets the products, so the level
+    steps number the elements as that queue does, at every degree.
+
+    The inverses cost O(rn), with no search: for each generator h the
     left-multiplication map L_h (L_h[j] is the index of h * e_j) follows
     from the closure, since L_h[0] is the index of h and
     h * e_j = (h * e_k) * g gives L_h[j] = right[L_h[k]][g]. The identity
@@ -741,65 +740,62 @@ def build_from_permutations(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    # composer(e)(steps[g]) is e * g, the images of e mapped through g's
-    if degree <= 256:
-        ident: bytes | tuple[int, ...] = bytes(range(degree))
-        steps: list = [bytes(g.images) + bytes(256 - degree) for g in gens]
-        composer = operator.attrgetter("translate")
-    else:
-        ident = tuple(range(degree))
-        steps = [g.images for g in gens]
-
-        def composer(e):
-            return itemgetter(*e)
-    elems = [ident]
-    index = {ident: 0}
-    right: list[list[int]] = []
-    parent: list[tuple[int, int]] = [(0, 0)]  # the identity's entry is never read
-    head = 0
-    while head < len(elems):
-        compose = composer(elems[head])
-        head += 1
-        row = []
-        for gi, step in enumerate(steps):
-            nxt = compose(step)
-            j = index.get(nxt)
-            if j is None:
-                if len(elems) >= ORDER_CAP:
-                    raise OrderCapExceeded(
-                        f"closure passed the cap of {ORDER_CAP} elements"
-                    )
-                j = index[nxt] = len(elems)
-                elems.append(nxt)
-                parent.append((head - 1, gi))
-            row.append(j)
-        right.append(row)
+    r = len(gens)
+    images = np.array([g.images for g in gens], dtype=np.uint16).reshape(r, degree)
+    key_type = np.dtype((np.void, 2 * degree))  # a row read as its bytes
+    step = max(1, _BLOCK_CELLS // max(1, r * degree))  # elements per block
+    elems = [np.arange(degree, dtype=np.uint16).tobytes()]
+    index = {elems[0]: 0}
+    right: list[int] = []  # right[k * r + g] is the index of e_k * g
+    parent_k, parent_g = [0], [0]  # the identity's entries are never read
+    lo = 0
+    while lo < len(elems):  # elements lo..hi-1 are one level
+        hi = len(elems)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            rows = np.frombuffer(b"".join(elems[a:b]), dtype=np.uint16).reshape(b - a, degree)
+            # e_k * g sends x to g(e_k(x)); the swap puts the products in (k, g) order
+            block = np.ascontiguousarray(images.take(rows, axis=1).swapaxes(0, 1))
+            keys = np.ndarray((b - a) * r, dtype=key_type, buffer=block).tolist()
+            found = list(map(index.get, keys))
+            c = -1
+            # the products not known before this block, in order; one may repeat an earlier one
+            for _ in range(found.count(None)):
+                c = found.index(None, c + 1)
+                j = found[c] = index.setdefault(keys[c], len(elems))
+                if j == len(elems):
+                    if j >= ORDER_CAP:
+                        raise OrderCapExceeded(f"closure passed the cap of {ORDER_CAP} elements")
+                    elems.append(keys[c])
+                    parent_k.append(a + c // r)
+                    parent_g.append(c % r)
+            right += found
+        lo = hi
     n = len(elems)
     del elems, index  # only the maps outlive the closure
+    maps = np.array(right, dtype=np.intp).reshape(n, r).T.copy()
+    maps.setflags(write=False)  # compose hands its rows out as they are
+    cols = maps.tolist()  # cols[g][k] is the index of e_k * g
     left_inv = {}
-    for h in {h for _, h in parent[1:]}:
+    for h in set(parent_g[1:]):
         lh = [0] * n
-        lh[0] = right[0][h]  # h * e_0 = h
+        lh[0] = cols[h][0]  # h * e_0 = h
         for j in range(1, n):
-            k, g = parent[j]
-            lh[j] = right[lh[k]][g]
+            lh[j] = cols[parent_g[j]][lh[parent_k[j]]]
         inverse = np.empty(n, dtype=np.intp)
         inverse[lh] = np.arange(n)
         left_inv[h] = inverse.tolist()
     inv = [0] * n
     for i in range(1, n):
-        k, h = parent[i]
-        inv[i] = left_inv[h][inv[k]]
-    maps = np.array(right, dtype=np.intp).reshape(n, len(gens)).T.copy()
-    maps.setflags(write=False)  # compose hands its rows out as they are
+        inv[i] = left_inv[parent_g[i]][inv[parent_k[i]]]
 
     def compose(s: int) -> np.ndarray:
         """``maps[g_1]``, ..., ``maps[g_m]`` applied in turn, for the word
         e_s = g_1 ... g_m that the parents spell from s back to 0."""
         word = []
         while s:
-            s, g = parent[s]
-            word.append(g)
+            word.append(parent_g[s])
+            s = parent_k[s]
         if not word:
             return np.arange(n)
         out = maps[word.pop()]
@@ -873,20 +869,28 @@ def _extend(right: list[list[int]], seen: list[bool]) -> list[int]:
 
 
 def _greedy(
-    n: int, right_map: Callable[[int], np.ndarray]
+    right_map: Callable[[int], np.ndarray], seen: list[bool]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Generators of a group of order n whose right-multiplication maps
-    ``right_map`` gives, picked greedily: each is the smallest element
-    outside the set generated so far, yielded with its map after
-    :func:`_extend` has grown that set by it."""
-    seen = [True] + [False] * (n - 1)
+    """Picks from the right-multiplication maps that ``right_map`` gives,
+    made greedily: each is the smallest element that ``seen`` does not
+    hold, yielded with its map after :func:`_extend` has grown ``seen``
+    (the identity alone at the start, of length n) by it, in place.
+
+    The picks stop once ``seen`` holds every element, which is exact on
+    any table, or after n.bit_length() picks. Each pick of a group at
+    least doubles the subgroup before it, so a group of order n is
+    generated by at most floor(log2 n) picks, and only a table that is
+    no group can stop at the bound with elements not reached.
+    """
     right: list[list[int]] = []
-    size = s = 1
-    while size < n:
+    s = 0
+    for _ in range(len(seen).bit_length()):
+        if False not in seen:
+            return
         s = seen.index(False, s)
         R = right_map(s)
         right.append(R.tolist())
-        size += len(_extend(right, seen))
+        _extend(right, seen)
         yield s, R
 
 
@@ -910,15 +914,22 @@ def _span(G: GroupTable, seed) -> np.ndarray:
     return np.flatnonzero(np.frombuffer(bytes(seen), dtype=bool)).astype(_DTYPE)
 
 
+def _integers(xs: Iterable, what: str) -> list[int]:
+    """``xs`` through ``operator.index``, so Python and numpy integers
+    pass; ``ValueError`` names, as ``what``, a value it refuses (no float
+    is truncated)."""
+    xs = list(xs)
+    try:
+        return list(map(operator.index, xs))
+    except TypeError:  # only a value of neither type can be refused
+        bad = next(x for x in xs if not isinstance(x, (int, np.integer)))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
 def _elements(G: GroupTable, xs: Iterable[int]) -> list[int]:
     """``xs`` as element indices of G; ``ValueError`` names one that
     ``operator.index`` refuses (no float is truncated) or outside [0, n)."""
-    xs = list(xs)
-    try:
-        out = list(map(operator.index, xs))
-    except TypeError:  # only a value of neither type can be refused
-        bad = next(x for x in xs if not isinstance(x, (int, np.integer)))
-        raise ValueError(f"element index {bad!r} is not an integer") from None
+    out = _integers(xs, "element index")
     if out and not 0 <= min(out) <= max(out) < G.order:
         bad = next(i for i in out if not 0 <= i < G.order)
         raise ValueError(f"element index {bad} outside [0, {G.order})")

@@ -18,7 +18,7 @@ import commprob.cli
 import commprob.egyptian
 import commprob.probability
 from commprob.cli import main
-from commprob.groups import subgroup_from_generators
+from commprob.groups import Permutation, format_cycles, subgroup_from_generators
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -40,6 +40,22 @@ def test_pr_perms(capsys):
         capsys, "pr", "--perms", "(1 2 3 4)", "(1 3)", "--degree", "4"
     )
     assert code == 0 and out == "5/8\n"
+
+
+def test_pr_perms_above_degree_256(capsys):
+    """D1000 given as a 1000-cycle and a reflection of 1000 points gives
+    the report of the closed-form family member, Pr = (n + 6) / 4n."""
+    n = 1000
+    cycle = format_cycles(Permutation(n, (*range(1, n), 0)))
+    reflection = format_cycles(Permutation(n, tuple(-i % n for i in range(n))))
+    code, out, err = run(capsys, "pr", "--json", "--perms", cycle, reflection,
+                         "--degree", str(n))
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data == {"name": "perm-group", "order": 2000, "k": 503, "pr": "503/2000",
+                    "center_index": 1000, "bounds": []}
+    code, out, _ = run(capsys, "pr", "--json", "--family", "dihedral", "--params", str(n))
+    assert code == 0 and json.loads(out) == {**data, "name": "D1000"}
 
 
 def test_pr_cayley_file(capsys, tmp_path):

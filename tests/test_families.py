@@ -95,8 +95,9 @@ def test_dicyclic_table_matches_product_rules():
 def test_dihedral_closed_form_is_the_permutation_build(n):
     """The closed form of D_n numbers its elements as the permutation
     build does: every right map, ``inv`` and the filled table match it
-    byte for byte. Degrees 256 and 257 sit on either side of the
-    closure's step from bytes to tuples."""
+    byte for byte. From degree 257 on a point no longer fits in a byte;
+    the closure keeps every point in 2 bytes, and degrees 255, 256 and
+    257 check that nothing changes there."""
     G, oracle = dihedral_group(n), dihedral_by_permutations(n)
     maps = np.stack([G._right_map(s) for s in range(G.order)], axis=1)
     assert "op" not in vars(G)

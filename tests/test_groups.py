@@ -70,7 +70,13 @@ from commprob.probability import (
     verify_special_forms,
 )
 
-from oracles import conjugate, cosets_by_table, element_orders, latin_first_verdict
+from oracles import (
+    conjugate,
+    cosets_by_table,
+    dihedral_by_permutations,
+    element_orders,
+    latin_first_verdict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +406,32 @@ def test_permutation_build_memory_is_one_table():
 
 def test_permutation_inverses_match_a_row_search():
     """``inv`` read off the closure equals the identity's column in each
-    row, for every permutation-built member of corpus(64) and for D1000."""
-    tables = [G for G, spec in corpus(64)
-              if spec.family in ("dihedral", "symmetric", "alternating")]
-    tables.append(make(FamilySpec("dihedral", (1000,)))[0])
-    assert len(tables) > 30
+    row: for the symmetric and alternating members of corpus(64), for D_n
+    closed from its two permutations of n points (n = 3..64, on either
+    side of 256 points, and 1000), and for one 300-cycle."""
+    tables = [G for G, spec in corpus(64) if spec.family in ("symmetric", "alternating")]
+    tables += [dihedral_by_permutations(n) for n in [*range(3, 65), 255, 256, 257, 1000]]
+    tables.append(build_from_permutations(300, [Permutation(300, (*range(1, 300), 0))]))
+    assert len(tables) == 6 + 62 + 4 + 1
     for G in tables:
         assert np.array_equal(G.inv, groups_module._inverses(G.op)), G.name
+
+
+def test_closure_memory_at_large_degree():
+    """Closing one 5000-cycle (5000 elements of degree 5000) holds each
+    element as 2 bytes a point: the build peaks under 3 bytes per
+    (element, point) and 8 MiB, where elements kept as tuples of ints
+    take over 8 bytes per (element, point)."""
+    n = 5000
+    cycle = Permutation(n, (*range(1, n), 0))
+    tracemalloc.start()
+    try:
+        G = build_from_permutations(n, [cycle])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == n and not filled(G)
+    assert peak < 3 * n * n + 8 * 2**20
 
 
 def test_bad_degree_fails_before_building():
@@ -484,6 +509,23 @@ def test_cycle_parse_is_linear_in_the_degree():
 def test_permutation_must_be_a_bijection():
     with pytest.raises(ValueError):
         Permutation(3, (0, 0, 1))
+
+
+@pytest.mark.parametrize("degree", [2, 300])
+def test_permutation_refuses_non_integer_images(degree):
+    """An image that ``operator.index`` refuses is a ``ValueError``, at a
+    degree whose points fit in a byte and at one whose points do not;
+    ``sorted`` alone passes float images, which compare equal to ints.
+    numpy integers are accepted and stored as ints."""
+    images = (*range(1, degree), 0)
+    for bad in (float(images[0]), "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Permutation(degree, (bad, *images[1:]))
+    with pytest.raises(ValueError, match="is not an integer"):
+        Permutation(degree, tuple(map(float, images)))
+    perm = Permutation(degree, tuple(np.arange(1, degree + 1, dtype=np.int64) % degree))
+    assert perm.images == images and all(type(i) is int for i in perm.images)
+    assert build_from_permutations(degree, [perm]).order == degree
 
 
 # ---------------------------------------------------------------------------
