@@ -13,7 +13,10 @@ Computational Group Theory*, 2005). Each generator gives one conjugation
 map x -> s^-1 x s, a row of ``GroupTable.conjugation``. Conjugacy classes
 are the orbits of these r maps, the center is their common fixed points,
 the derived subgroup is the normal closure of the commutators [s, t] with
-s, t in S, and a subset closed under every map is normal.
+s, t in S, and a subset closed under every map is normal. A direct
+product forms none of these maps: its center, derived subgroup and
+Fitting subgroup are read off its factors', and it is abelian or
+nilpotent exactly when both factors are.
 
 These routines read no n x n table: they need the right-multiplication
 map x -> xs of a few elements s (``GroupTable._right_map``, the one
@@ -47,6 +50,9 @@ factors, and the class of (x, y) is C_A(x) x C_B(y), numbered
 ``class_of_A[x] * k_B + class_of_B[y]`` from the factors' partitions,
 which is again the numbering by smallest element. The member tuples of
 the classes are formed only when read (F(G), the normal subgroups).
+Likewise Z(A x B) = Z(A) x Z(B), (A x B)' = A' x B' and
+F(A x B) = F(A) x F(B), each the pairs of the factors' members, packed
+as the elements are (``_on_factors``); nested products recurse.
 
 The same greedy picks validate a Cayley table exactly, at every order:
 associativity by Light's test, (xs)y = x(sy) for each pick s only
@@ -57,7 +63,9 @@ permutations; the Latin check runs only on a table refused, to name the
 first bad cell. Inverses are found a block of rows at a time.
 A member set is a subgroup when the same closure, started from its
 members, reaches nothing else; structural operations take only such a
-``Subgroup``.
+``Subgroup``. Member lists from outside the library take that check;
+the sets that a routine forms closed by construction (fixed points,
+spans, normal closures, products of factors' subgroups) skip it.
 
 Conventions fixed once for the whole library:
 
@@ -101,6 +109,10 @@ _DTYPE = np.int32
 # Cells per block of a blockwise table sweep: the temporaries of a sweep
 # stay a few MB at any order instead of growing with n^2.
 _BLOCK_CELLS = 1 << 20
+
+# Cells (element x point) a permutation closure may hold: its keys take 2
+# bytes a cell, so at most 64 MiB, however high the degree.
+_CLOSURE_CELLS = 1 << 25
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -286,6 +298,18 @@ class Subgroup:
         # distinct members, the identity among them, are closed iff they span no more
         if len(set(mem)) < len(mem) or _span(self.parent, mem).size != len(mem):
             raise ValueError("member set is not closed under the group operation")
+
+    @classmethod
+    def _closed(cls, parent: GroupTable, members: np.ndarray) -> Subgroup:
+        """The subgroup of ``parent`` whose members, an increasing array,
+        are closed by construction: a fixed-point set, a span, a normal
+        closure or a product of factors' subgroups. The checks of
+        ``__post_init__``, a span at a cost that grows with |G|, are left
+        out; member lists from outside the library always take them."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "parent", parent)
+        object.__setattr__(H, "members", tuple(members.tolist()))
+        return H
 
     @property
     def order(self) -> int:
@@ -734,6 +758,11 @@ def build_from_permutations(
     the word of e_s, O(n) per letter. It fills its n x n table only when
     ``op`` is first read (see :func:`_fill`); classes, the center, the
     derived subgroup and normal closures never read it.
+
+    Raises ``OrderCapExceeded`` as soon as the closure passes
+    ``ORDER_CAP`` elements, or ``_CLOSURE_CELLS // degree`` elements if
+    that is fewer: the keys of one element take 2 bytes a point, so the
+    cell budget bounds their memory at any degree.
     """
     _check_degree(degree)
     gens = list(generators)
@@ -743,6 +772,12 @@ def build_from_permutations(
     r = len(gens)
     images = np.array([g.images for g in gens], dtype=np.uint16).reshape(r, degree)
     key_type = np.dtype((np.void, 2 * degree))  # a row read as its bytes
+    cap = min(ORDER_CAP, _CLOSURE_CELLS // max(1, degree))
+    if cap < ORDER_CAP:
+        too_many = (f"closure passed {cap} elements of degree {degree}, "
+                    f"the budget of {_CLOSURE_CELLS} cells")
+    else:
+        too_many = f"closure passed the cap of {ORDER_CAP} elements"
     step = max(1, _BLOCK_CELLS // max(1, r * degree))  # elements per block
     elems = [np.arange(degree, dtype=np.uint16).tobytes()]
     index = {elems[0]: 0}
@@ -764,8 +799,8 @@ def build_from_permutations(
                 c = found.index(None, c + 1)
                 j = found[c] = index.setdefault(keys[c], len(elems))
                 if j == len(elems):
-                    if j >= ORDER_CAP:
-                        raise OrderCapExceeded(f"closure passed the cap of {ORDER_CAP} elements")
+                    if j >= cap:
+                        raise OrderCapExceeded(too_many)
                     elems.append(keys[c])
                     parent_k.append(a + c // r)
                     parent_g.append(c % r)
@@ -817,7 +852,9 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
 
     The two factors are recorded as ``factors``, which only this
     constructor sets: the product's class partition is read off theirs
-    (see :func:`conjugacy_classes`), with no orbits run on the product.
+    (see :func:`conjugacy_classes`), with no orbits run on the product,
+    and so are its center, derived subgroup and Fitting subgroup and
+    whether it is abelian or nilpotent (see :func:`_on_factors`).
     """
     na, nb = a.order, b.order
     n = na * nb
@@ -941,7 +978,7 @@ def subgroup_from_members(G: GroupTable, members: Iterable[int]) -> Subgroup:
 
 
 def subgroup_from_generators(G: GroupTable, generators: Iterable[int]) -> Subgroup:
-    return Subgroup(G, tuple(_span(G, _elements(G, generators)).tolist()))
+    return Subgroup._closed(G, _span(G, _elements(G, generators)))
 
 
 def _check_parent(G: GroupTable, H: Subgroup) -> None:
@@ -1071,29 +1108,48 @@ def centralizer(G: GroupTable, elements: Iterable[int]) -> Subgroup:
     inv, fixed = G.inv, np.ones(G.order, dtype=bool)
     for R in map(np.array, right):
         fixed &= R[inv[R[inv]]] == np.arange(G.order)
-    return Subgroup(G, tuple(np.flatnonzero(fixed).tolist()))
+    return Subgroup._closed(G, np.flatnonzero(fixed))
+
+
+def _on_factors(G: GroupTable, rule: Callable[[GroupTable], Subgroup]) -> Subgroup:
+    """``rule`` of the direct product G = A x B (``G.factors``), for a
+    subgroup rule that commutes with products, as H x K with H = rule(A)
+    and K = rule(B): the members (x, y), packed as x*|B| + y, are one
+    outer add, already increasing since H's and K's are. A factor that is
+    a product recurses through its caller's rule."""
+    A, B = G.factors
+    H, K = rule(A), rule(B)
+    return Subgroup._closed(G, np.add.outer(np.multiply(H.members, B.order), K.members).ravel())
 
 
 def is_abelian(G: GroupTable) -> bool:
-    """Whether every generator's conjugation map is the identity."""
+    """Whether every generator's conjugation map is the identity; a
+    direct product is abelian exactly when both its factors are."""
+    if G.factors is not None:
+        return all(map(is_abelian, G.factors))
     return bool((G.conjugation == np.arange(G.order)).all())
 
 
 def center(G: GroupTable) -> Subgroup:
     """The elements commuting with every generator: the common fixed
-    points of their conjugation maps."""
+    points of their conjugation maps. Z(A x B) = Z(A) x Z(B) is read off
+    a direct product's factors (:func:`_on_factors`)."""
+    if G.factors is not None:
+        return _on_factors(G, center)
     fixed = (G.conjugation == np.arange(G.order)).all(axis=0)
-    return Subgroup(G, tuple(np.flatnonzero(fixed).tolist()))
+    return Subgroup._closed(G, np.flatnonzero(fixed))
 
 
 def derived_subgroup(G: GroupTable) -> Subgroup:
     """Subgroup generated by all commutators [x, y]: the normal closure
     of the commutators [s, t] = (t^-1)^s t of the generators s, t, each
-    a conjugation map followed by the right map of t."""
+    a conjugation map followed by the right map of t. (A x B)' = A' x B'
+    is read off a direct product's factors (:func:`_on_factors`)."""
+    if G.factors is not None:
+        return _on_factors(G, derived_subgroup)
     conj = G.conjugation
     comms = [R[conj[:, G.inv[t]]] for t, R in G._generator_maps.items()]
-    members = _normal_closure(G, comms)
-    return Subgroup(G, tuple(members.tolist()))
+    return Subgroup._closed(G, _normal_closure(G, comms))
 
 
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
@@ -1126,7 +1182,7 @@ def _lattice(G: GroupTable, grow) -> list[Subgroup]:
                 found[key] = mask
                 work.append(mask)
     subs = sorted(map(np.flatnonzero, found.values()), key=lambda m: (m.size, tuple(m)))
-    return [Subgroup(G, tuple(m.tolist())) for m in subs]
+    return [Subgroup._closed(G, m) for m in subs]
 
 
 def normal_subgroups(G: GroupTable) -> list[Subgroup]:
@@ -1206,7 +1262,7 @@ def normal_core(G: GroupTable, H: Subgroup) -> Subgroup:
     part = conjugacy_classes(G)
     leaves = np.zeros(part.count, dtype=bool)
     leaves[part.class_of[~H.mask]] = True  # the classes with an element outside H
-    return Subgroup(G, tuple(np.flatnonzero(~leaves[part.class_of]).tolist()))
+    return Subgroup._closed(G, np.flatnonzero(~leaves[part.class_of]))
 
 
 def orbit_count_on_normal(G: GroupTable, N: Subgroup) -> int:
@@ -1228,8 +1284,11 @@ def is_nilpotent(G: GroupTable) -> bool:
     x lies in Z_(i+1) when each x^s, s a generator of G, lies in the
     coset x Z_i: then every [x, s], and so [x, G], lies in Z_i. The
     cosets x Z_i are the orbits (:func:`_orbits`) of the right maps that
-    :func:`_generate` collects for Z_i.
+    :func:`_generate` collects for Z_i. Z_i(A x B) = Z_i(A) x Z_i(B), so
+    a direct product is nilpotent exactly when both its factors are.
     """
+    if G.factors is not None:
+        return all(map(is_nilpotent, G.factors))
     seen = [True] + [False] * (G.order - 1)
     right: list[list[int]] = []
     while not all(seen):
@@ -1251,16 +1310,20 @@ def fitting_subgroup(G: GroupTable) -> Subgroup:
     grown so far, <x> first, is not of prime-power order. The classes
     that pass are a normal set, so the subgroup they generate is normal.
     A p-group is nilpotent: it is its own Fitting subgroup.
+    F(A x B) = F(A) x F(B) is read off a direct product's factors
+    (:func:`_on_factors`).
     """
+    if G.factors is not None:
+        return _on_factors(G, fitting_subgroup)
     if prime_power(G.order):
-        return Subgroup(G, tuple(range(G.order)))
+        return Subgroup._closed(G, np.arange(G.order))
     passed = np.arange(G.order) == 0
     for cls in conjugacy_classes(G).classes:
         if not passed[cls[0]]:
             closure = _normal_closure(G, [cls[0]], p_group=True)
             if closure is not None:
                 passed[closure] = True
-    return Subgroup(G, tuple(_span(G, np.flatnonzero(passed)).tolist()))
+    return Subgroup._closed(G, _span(G, np.flatnonzero(passed)))
 
 
 def abelian_normal_subgroups(G: GroupTable) -> list[Subgroup]:
@@ -1296,6 +1359,6 @@ def index_two_subgroups(G: GroupTable) -> list[Subgroup]:
             others = [s for s in gens if s not in T]
             kernel = _normal_closure(G, others + [right[T[0]][s] for s in T])
             if 2 * kernel.size == G.order:
-                out.append(Subgroup(G, tuple(kernel.tolist())))
+                out.append(Subgroup._closed(G, kernel))
     out.sort(key=lambda s: s.members)
     return out

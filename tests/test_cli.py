@@ -18,6 +18,7 @@ import commprob.cli
 import commprob.egyptian
 import commprob.probability
 from commprob.cli import main
+from commprob.families import FamilySpec, product_spec
 from commprob.groups import Permutation, format_cycles, subgroup_from_generators
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -710,6 +711,37 @@ def test_golden_outputs(capsys, monkeypatch):
     for argv, digest in _SHA256.items():
         code, out, _ = run(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# the twelve fixed groups of order 720-5040 that the structure benchmark
+# runs through ``pr --bounds --json`` at every seed: six base-family
+# members and six direct products
+_STRUCTURE_FIXED = (
+    [("symmetric", (7,))], [("alternating", (7,))], [("dihedral", (120,))],
+    [("dicyclic", (250,))], [("alternating", (5,)), ("symmetric", (4,))],
+    [("symmetric", (6,)), ("cyclic", (2,))], [("symmetric", (5,)), ("dicyclic", (4,))],
+    [("dihedral", (100,))], [("alternating", (6,)), ("symmetric", (3,))],
+    [("dicyclic", (300,))], [("symmetric", (5,)), ("symmetric", (4,))],
+    [("alternating", (6,)), ("dicyclic", (2,))],
+)
+
+
+def test_structure_bounds_outputs_are_pinned(capsys):
+    """rc and stdout of ``pr --bounds --json`` on the twelve fixed
+    structure groups, as one sha256 taken while each product's center,
+    derived subgroup and Fitting subgroup were still walked on the
+    product itself."""
+    h = hashlib.sha256()
+    for parts in _STRUCTURE_FIXED:
+        specs = [FamilySpec(f, p) for f, p in parts]
+        spec = product_spec(*specs) if len(specs) == 2 else specs[0]
+        argv = ["pr", "--bounds", "--json", "--family", spec.family,
+                "--params", *map(str, spec.params)]
+        code, out, _ = _call(capsys, argv)
+        h.update(f"{argv!r}|{code}|{out}\n".encode())
+    assert h.hexdigest() == (
+        "9e42c1445454c4210daed597526dcc093196dca23bf7005a6f9e984500af4398"
+    )
 
 
 # every filter flag, alone and in pairs, including the falsy values that

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import commprob.cli
 import commprob.groups as groups_module
 from commprob.errors import (
     NoIdentity,
@@ -34,6 +35,7 @@ from commprob.errors import (
 from commprob.families import FamilySpec, corpus, make, product_spec
 from commprob.groups import (
     ORDER_CAP,
+    SUBGROUP_CUTOFF,
     GroupTable,
     Permutation,
     Subgroup,
@@ -434,6 +436,32 @@ def test_closure_memory_at_large_degree():
     assert peak < 3 * n * n + 8 * 2**20
 
 
+def test_closure_cell_budget_refuses_high_degree_early(capsys):
+    """A closure holds at most ``_CLOSURE_CELLS`` (element, point) cells:
+    one cycle at degree ``ORDER_CAP``, of order ``ORDER_CAP`` and so
+    within the element cap, is refused at ``_CLOSURE_CELLS // degree``
+    elements, with its keys at about 2 bytes a cell, where the whole
+    closure would hold some 800 MB of them. Through the CLI it is an
+    ``error:`` line and exit code 1."""
+    n = ORDER_CAP
+    budget = groups_module._CLOSURE_CELLS
+    cycle = Permutation(n, (*range(1, n), 0))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(OrderCapExceeded, match=f"{budget // n} elements of degree {n}"):
+            build_from_permutations(n, [cycle])
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * budget + 8 * 2**20 and seconds < 10
+    code = commprob.cli.main(["pr", "--perms", format_cycles(cycle), "--degree", str(n)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("error: closure passed")
+    assert "Traceback" not in err
+
+
 def test_bad_degree_fails_before_building():
     with pytest.raises(UnsupportedParams):
         parse_cycles("()", -3)
@@ -703,13 +731,11 @@ def _orbit_partition(G: GroupTable) -> tuple[np.ndarray, tuple[tuple[int, ...], 
     return class_of, tuple(tuple(members[c]) for c in sorted(members))
 
 
-def test_product_classes_are_the_orbit_partition(corpus64):
-    """A direct product's classes, read off its factors' partitions, are
-    the orbits of its own conjugation maps, numbered, typed and listed
-    alike: on every product of corpus(64), on products nested either
-    way, on products with a factor from a Cayley table, from
-    permutations, a quotient and a subgroup table, and on a renamed
-    product (as catalog family entries are)."""
+def _probe_products(corpus64) -> list[GroupTable]:
+    """Every product of corpus(64), products nested either way, products
+    with a factor from a Cayley table, from permutations, a quotient and
+    a subgroup table, and a renamed product (as catalog family entries
+    are)."""
     s3, d4, q8 = (make(FamilySpec(f, p))[0]
                   for f, p in (("symmetric", (3,)), ("dihedral", (4,)), ("dicyclic", (2,))))
     s4 = build_from_permutations(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)])
@@ -731,14 +757,85 @@ def test_product_classes_are_the_orbit_partition(corpus64):
     renamed = direct_product(s3, q8).renamed("family entry")
     assert renamed.factors[0] is s3 and renamed.factors[1] is q8
     products.append(renamed)
-    for P in products:
-        assert P.factors is not None, P.name
+    assert all(P.factors is not None for P in products)
+    return products
+
+
+def test_product_classes_are_the_orbit_partition(corpus64):
+    """A direct product's classes, read off its factors' partitions, are
+    the orbits of its own conjugation maps, numbered, typed and listed
+    alike, on each of :func:`_probe_products`."""
+    for P in _probe_products(corpus64):
         part = conjugacy_classes(P)  # read off the factors, then checked against P's own orbits
         class_of, classes = _orbit_partition(P)
         assert part.class_of.dtype == np.int32 and class_of.dtype == np.int32, P.name
         assert part.class_of.tobytes() == class_of.tobytes(), P.name
         assert part.classes == classes, P.name
         assert part.count == len(classes) and part.sizes() == tuple(map(len, classes))
+
+
+def _walked(P: GroupTable) -> GroupTable:
+    """The direct product P with its factors forgotten: the same elements
+    and right maps, so its structure is walked on P itself."""
+    return GroupTable(None, P.inv, name=P.name, compose=P._right_map)
+
+
+def test_product_structure_is_the_walk(corpus64):
+    """Z, G' and F(G) of a direct product, read off its factors, are the
+    member sets that the orbit routines walk on the product itself, and
+    nilpotency and abelianness agree, on each of :func:`_probe_products`."""
+    for P in _probe_products(corpus64):
+        W = _walked(P)
+        assert W.factors is None
+        for rule in (center, derived_subgroup, fitting_subgroup):
+            H = rule(P)
+            assert H.parent is P and type(H.members) is tuple, (P.name, rule)
+            assert H.members == rule(W).members, (P.name, rule)
+            assert all(type(x) is int for x in H.members), (P.name, rule)
+        assert is_nilpotent(P) == is_nilpotent(W), P.name
+        assert is_abelian(P) == is_abelian(W), P.name
+    P = direct_product(*(make(FamilySpec(f, p))[0]
+                         for f, p in (("symmetric", (3,)), ("dihedral", (4,)))))
+    for rule in (center, derived_subgroup, fitting_subgroup, is_nilpotent, is_abelian):
+        rule(P)
+    assert "conjugation" not in vars(P) and "_generator_maps" not in vars(P)
+
+
+def test_outside_member_lists_are_still_checked():
+    """A member list from outside the library is spanned, on a plain
+    group and on a direct product alike: one that is not closed is
+    refused by ``Subgroup`` and ``subgroup_from_members``, and a closed
+    one is accepted with the members the library's own rules give."""
+    s3, d4 = make(FamilySpec("symmetric", (3,)))[0], make(FamilySpec("dihedral", (4,)))[0]
+    for G in (s3, direct_product(s3, d4)):
+        x = next(x for x in range(G.order) if G.inv[x] != x)  # of order > 2
+        for build in (Subgroup, subgroup_from_members):
+            with pytest.raises(ValueError, match="not closed"):
+                build(G, (0, x))
+            D = derived_subgroup(G)
+            assert build(G, reversed(D.members)).members == D.members
+
+
+def test_bounds_on_fixed_products_form_no_product_maps(monkeypatch, capsys):
+    """``pr --bounds`` on the six fixed direct products of the structure
+    benchmark reads Z, G' and every bound off the factors: the product
+    forms no conjugation map and picks no generator of its own."""
+    seen = []
+    real = commprob.cli.check_bounds
+
+    def recording(G, *args):
+        seen.append(G)
+        return real(G, *args)
+
+    monkeypatch.setattr(commprob.cli, "check_bounds", recording)
+    for params in ((3, 5, 2, 4), (2, 6, 0, 2), (2, 5, 4, 4), (3, 6, 2, 3),
+                   (2, 5, 2, 4), (3, 6, 4, 2)):
+        argv = ["pr", "--bounds", "--json", "--family", "product", "--params", *map(str, params)]
+        assert commprob.cli.main(argv) == 0
+        capsys.readouterr()
+        P = seen.pop()
+        assert P.factors is not None and P.order > SUBGROUP_CUTOFF, params
+        assert "conjugation" not in vars(P) and "_generator_maps" not in vars(P), params
 
 
 def test_classes_are_formed_once_and_never_on_a_product(monkeypatch):
@@ -1745,8 +1842,8 @@ def test_prime_power_against_trial_factorization():
 
 
 @st.composite
-def permutation_groups(draw):
-    degree = draw(st.integers(2, 7))
+def permutation_groups(draw, max_degree=7):
+    degree = draw(st.integers(2, max_degree))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     return degree, [tuple(g) for g in gens]
 
@@ -1784,6 +1881,29 @@ def test_structure_matches_sympy(group, rng):
         )
         assert is_nilpotent(T) == S.is_nilpotent
         assert filled(T) == (T is not lazy)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(permutation_groups(max_degree=5), permutation_groups(max_degree=5))
+@example(left=(2, [(0, 1)]), right=(3, [(1, 2, 0), (1, 0, 2)]))  # a trivial factor
+def test_product_structure_matches_sympy(left, right):
+    """Z, G' and nilpotency of a direct product, read off its factors,
+    against ``sympy``'s ``DirectProduct`` of the same two groups."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    DirectProduct = pytest.importorskip("sympy.combinatorics.group_constructs").DirectProduct
+    factors, oracles = [], []
+    for degree, images in (left, right):
+        factors.append(build_from_permutations(degree, [Permutation(degree, im) for im in images]))
+        oracles.append(combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(im)) for im in images]))
+    assume(factors[0].order * factors[1].order <= 720)
+    P, S = direct_product(*factors), DirectProduct(*oracles)
+    assert P.order == S.order()
+    assert center(P).order == S.center().order()
+    assert derived_subgroup(P).order == S.derived_subgroup().order()
+    assert is_nilpotent(P) == S.is_nilpotent
+    assert is_abelian(P) == S.is_abelian
+    assert "conjugation" not in vars(P)
 
 
 def test_generators_of_trivial_and_cyclic_groups():
